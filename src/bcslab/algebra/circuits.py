@@ -176,6 +176,7 @@ def build_circuit_ebcs(G: RedBlueGraph, k: int) -> Circuit:
         c = cell(k, e, half, half)
         if c is not None:
             tops.append(c)
+    del cell  # break the closure's self-reference so the memo and gate list free on return
     return bld.finish(bld.addtree(tops), k)
 
 
@@ -261,6 +262,7 @@ def build_circuit_ebt(G: RedBlueGraph, k: int) -> Circuit:
         c = cell(k, e, half, half)
         if c is not None:
             tops.append(c)
+    del cell  # break the closure's self-reference so the memo and gate list free on return
     return bld.finish(bld.addtree(tops), k + 1)
 
 
@@ -300,6 +302,7 @@ def build_circuit_ebp(G: RedBlueGraph, k: int) -> Circuit:
         c = cell(k, v, half, half)
         if c is not None:
             tops.append(c)
+    del cell  # break the closure's self-reference so the memo and gate list free on return
     return bld.finish(bld.addtree(tops), k + 1)
 
 

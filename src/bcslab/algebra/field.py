@@ -8,12 +8,24 @@ Two representations coexist:
 
 * VecGF: numpy kernels over a tower GF(2^16) -> GF(2^32) -> GF(2^64) built
   from y^2+y+C and z^2+z+C*y with C = 0x800 (trace 1, so both quadratics are
-  irreducible). Elements pack 16-bit limbs into one uint64. Multiplication is
-  a handful of log/exp table gathers instead of a 64-step carry-less loop;
-  the detection engine runs on this representation. Isomorphic to the fields
-  above, not bit-compatible for l in {32, 64}; identical for l = 16.
+  irreducible). An element is l/16 limbs in GF(2^16), limb p holding bits
+  16p..16p+15 of the packed integer; the basis is 1, y (l = 32) and
+  1, y, z, yz (l = 64). Vectors are stored limb-planar: an array of shape
+  (l/16, ...) of uint16, one contiguous plane per limb. Isomorphic to the
+  fields above, not bit-compatible for l in {32, 64}; identical for l = 16.
 
-The l=16 log/exp tables use generator 3 of GF(2^16)* (order 65535).
+The tower multiply, unrolled down to GF(2^16), is a fixed set of Karatsuba
+leaves (XORs of limbs: 1, 3 and 9 of them at l = 16, 32, 64), a fixed set of
+products C^e * leaf(a) * leaf(b) with e in {0, 1, 2} (1, 3 and 10), and for
+each output limb the products XORed into it (_tower_terms derives all three
+from the tower). In log/exp form every product is one sum of two logs and
+the constant e*log(C), so a whole multiply is two log gathers, one exp gather
+and an XOR reduction over planes at every width.
+
+Tables use generator 3 of GF(2^16)* (order 65535): an int32 log table
+(256 KB) whose zero entry is a marker that sends every sum involving a zero
+into the zero region of a uint16 exp table (0.9 MB, of which the first
+0.4 MB hold the periodic exp values).
 """
 from __future__ import annotations
 
@@ -69,118 +81,129 @@ class GF2e:
         return self.pow(a, (1 << self.ell) - 2)
 
 
+def _clmul16v(a, b):
+    """GF(2^16) products of uint32 arrays in the polynomial basis (carry-less, reduced)."""
+    r = np.zeros(np.broadcast(a, b).shape, dtype=np.uint32)
+    for i in range(16):
+        r ^= (a << i) * ((b >> i) & 1)
+    for i in range(30, 15, -1):
+        r ^= ((r >> i) & 1) * np.uint32(POLY[16] << (i - 16))
+    return r
+
+
 def _build_tables16():
+    """exp[i] = 3^i for i < 65535 and its inverse log, as numpy arrays.
+
+    3^0..3^255 come from scalar steps; 3^(256q + r) = 3^r * (3^256)^q fills the
+    rest in one vectorized product.
+    """
     f = GF2e(16)
-    exp = [0] * 65535
-    v = 1
-    for i in range(65535):
-        exp[i] = v
-        v = f.mul(v, _GEN16)
-    log = [0] * 65536
-    for i, e in enumerate(exp):
-        log[e] = i
-    return exp, log
+    low = [1]
+    for _ in range(255):
+        low.append(f.mul(low[-1], _GEN16))
+    step = f.mul(low[-1], _GEN16)  # 3^256
+    high = [1]
+    for _ in range(255):
+        high.append(f.mul(high[-1], step))
+    exp = _clmul16v(np.array(high, dtype=np.uint32)[:, None],
+                    np.array(low, dtype=np.uint32)[None, :]).ravel()[:65535]
+    log = np.zeros(65536, dtype=np.int32)
+    log[exp] = np.arange(65535)
+    return exp.astype(np.uint16), log
 
 
-_EXP16_LIST, _LOG16_LIST = _build_tables16()
+_exp16, _LOG = _build_tables16()
+_EXP16_LIST, _LOG16_LIST = _exp16.tolist(), _LOG.tolist()
 
-# zero marker: any log sum involving a zero lands at >= BIG and reads 0
-_BIG = 1 << 18
-_EXPX_SIZE = 2 * _BIG + 65536
-
-LOG16 = np.full(65536, _BIG, dtype=np.int64)
-LOG16[1:] = np.array(_LOG16_LIST[1:], dtype=np.int64)
-EXPX = np.zeros(_EXPX_SIZE, dtype=np.uint64)
-_exp_arr = np.array(_EXP16_LIST, dtype=np.uint64)
-# non-zero region: sums of up to two logs plus one constant log < 3*65535
-_reach = 3 * 65535
-EXPX[:_reach] = _exp_arr[np.arange(_reach) % 65535]
-
+# A nonzero log sum is at most 3 * 65534 (two logs and the constant C^2).
+# log(0) = _ZERO puts any sum involving a zero at or past _ZERO, which reads 0.
+_ZERO = 3 * 65535
+_LOG[0] = _ZERO
+_EXP = np.resize(_exp16, 2 * _ZERO + 65535)
+_EXP[_ZERO:] = 0
+del _exp16
 _LOGC = _LOG16_LIST[TOWER_C]
-_LOGC2 = (2 * _LOGC) % 65535
-
-_M16 = np.uint64(0xFFFF)
-_M32 = np.uint64(0xFFFFFFFF)
-_S16 = np.uint64(16)
-_S32 = np.uint64(32)
 
 
-def mul16v(a, b):
-    return EXPX[LOG16[a] + LOG16[b]]
+def _tower_terms(ell: int) -> list:
+    """The tower product ab as, per output limb, the set of terms (leaf, e) that are
+    XORed into it, each term being C^e * leaf(a) * leaf(b) in GF(2^16).
 
+    Leaves are numbered as VecGF._leaves stacks them: a width-l operand
+    X0 + X1 z splits into the leaves of X0, of X1 and of X0 + X1, in that order.
+    """
+    if ell == 16:
+        return [{(0, 0)}]
+    half = _tower_terms(ell // 2)
+    n = 3 ** (len(half).bit_length() - 1)  # leaves of a half-width operand
+    # Karatsuba: m0 = X0 Y0, m2 = X1 Y1, m1 = (X0 + X1)(Y0 + Y1)
+    m0, m2, m1 = ([{(t * n + leaf, e) for leaf, e in limb} for limb in half] for t in range(3))
 
-def _mul32v(a, b):
-    a0 = a & _M16
-    a1 = (a >> _S16) & _M16
-    b0 = b & _M16
-    b1 = (b >> _S16) & _M16
-    la0 = LOG16[a0]
-    la1 = LOG16[a1]
-    lb0 = LOG16[b0]
-    lb1 = LOG16[b1]
-    m0 = EXPX[la0 + lb0]
-    s2 = la1 + lb1
-    cm2 = EXPX[s2 + _LOGC]
-    m1 = EXPX[LOG16[a0 ^ a1] + LOG16[b0 ^ b1]]
-    return (m0 ^ cm2) | ((m1 ^ m0) << _S16)
+    def times_c(limb, k=1):
+        return {(leaf, e + k) for leaf, e in limb}
 
-
-def _dmul32v(x):
-    # multiply by D = C*y in GF(2^32): (x0 + x1 y) -> (C^2 x1) + C(x0+x1) y
-    x0 = x & _M16
-    x1 = (x >> _S16) & _M16
-    lo = EXPX[LOG16[x1] + _LOGC2]
-    hi = EXPX[LOG16[x0 ^ x1] + _LOGC]
-    return lo | (hi << _S16)
-
-
-def _mul64v(a, b):
-    a0 = a & _M32
-    a1 = (a >> _S32) & _M32
-    b0 = b & _M32
-    b1 = (b >> _S32) & _M32
-    m0 = _mul32v(a0, b0)
-    m2 = _mul32v(a1, b1)
-    m1 = _mul32v(a0 ^ a1, b0 ^ b1)
-    return (m0 ^ _dmul32v(m2)) | ((m1 ^ m0) << _S32)
-
-
-def _mulscalar16_32(a, s_log):
-    a0 = a & _M16
-    a1 = (a >> _S16) & _M16
-    return EXPX[LOG16[a0] + s_log] | (EXPX[LOG16[a1] + s_log] << _S16)
-
-
-def _mulscalar16_64(a, s_log):
-    lo = _mulscalar16_32(a & _M32, s_log)
-    hi = _mulscalar16_32((a >> _S32) & _M32, s_log)
-    return lo | (hi << _S32)
+    if ell == 32:  # y^2 = y + C
+        cm2 = [times_c(m2[0])]
+    else:  # z^2 = z + C y, and C y (u + v y) = C^2 v + C (u + v) y
+        cm2 = [times_c(m2[1], 2), times_c(m2[0]) ^ times_c(m2[1])]
+    # (X0 + X1 z)(Y0 + Y1 z) = (m0 + c m2) + (m1 + m0) z
+    return [p ^ q for p, q in zip(m0, cm2)] + [p ^ q for p, q in zip(m1, m0)]
 
 
 class VecGF:
-    """Vectorized tower-field arithmetic on uint64 numpy arrays."""
+    """Vectorized tower-field arithmetic on limb planes: uint16 arrays of shape
+    (l/16, ...). Operands broadcast over the trailing axes."""
 
     def __init__(self, ell: int):
         if ell not in (16, 32, 64):
             raise ValueError("l must be one of 16, 32, 64")
         self.ell = ell
-        self.mask = np.uint64((1 << ell) - 1)
+        self._levels = (ell // 16).bit_length() - 1  # tower levels above GF(2^16)
+        terms = _tower_terms(ell)
+        products = sorted(set().union(*terms))
+        # product -> leaf; per product the log of C^e; per output limb its products
+        self._leaf = np.array([leaf for leaf, _ in products])
+        self._clog = np.array([e * _LOGC % 65535 for _, e in products], dtype=np.int32)
+        self._out = np.array([[products.index(t) for t in sorted(limb)] for limb in terms])
+        self._shifts = np.arange(0, ell, 16, dtype=np.uint64)
+        # per level d: where X0, X1 and X0 ^ X1 sit on axis d, over the halves
+        # of the levels below it
+        L = self._levels
+        self._xor_steps = [tuple((slice(None),) * d + (k,) + (slice(0, 2),) * (L - d - 1)
+                                 for k in range(3)) for d in range(L)]
+
+    def to_planes(self, x):
+        """Packed uint64 elements (...) -> limb planes (l/16, ...)."""
+        return (x >> self._shifts.reshape((-1,) + (1,) * x.ndim)).astype(np.uint16)
+
+    def from_planes(self, v):
+        """Limb planes (l/16, ...) -> packed uint64 elements (...)."""
+        shifts = self._shifts.reshape((-1,) + (1,) * (v.ndim - 1))
+        return np.bitwise_or.reduce(v.astype(np.uint64) << shifts, axis=0)
+
+    def _leaves(self, a):
+        """Limb planes (2^L, ...) -> Karatsuba leaves (3^L, ...): along each tower
+        level's axis, X0 ^ X1 is stored after the halves (X0, X1)."""
+        x = np.empty((3,) * self._levels + a.shape[1:], dtype=np.uint16)
+        x[(slice(0, 2),) * self._levels] = a.reshape((2,) * self._levels + a.shape[1:])
+        for x0, x1, x01 in self._xor_steps:
+            np.bitwise_xor(x[x0], x[x1], out=x[x01])
+        return x.reshape((-1,) + a.shape[1:])
 
     def mul(self, a, b):
-        if self.ell == 16:
-            return mul16v(a, b)
-        if self.ell == 32:
-            return _mul32v(a, b)
-        return _mul64v(a, b)
+        """Product of limb planes a and b."""
+        s = _LOG.take(self._leaves(a)) + _LOG.take(self._leaves(b))
+        s = s.take(self._leaf, axis=0)
+        s += self._clog.reshape((-1,) + (1,) * (s.ndim - 1))
+        p = _EXP.take(s)
+        return np.bitwise_xor.reduce(p.take(self._out, axis=0), axis=1)
 
     def mul_scalar16(self, a, s):
-        """Multiply by elements of the GF(2^16) subfield (s < 2^16, limb-wise)."""
-        s_log = LOG16[s]
-        if self.ell == 16:
-            return EXPX[LOG16[a] + s_log]
-        if self.ell == 32:
-            return _mulscalar16_32(a, s_log)
-        return _mulscalar16_64(a, s_log)
+        """Multiply by elements of the GF(2^16) subfield: s is limb planes whose
+        limbs above limb 0 are zero, and only s[0] is read."""
+        t = _LOG.take(a)
+        t += _LOG.take(s[0])
+        return _EXP.take(t)
 
     # scalar reference ops (python ints) for tests
     def mul_scalar(self, a: int, b: int) -> int:
@@ -203,12 +226,16 @@ class VecGF:
 
 # ---------------------------------------------------------------------------
 # Vectorized multiplication in the reference polynomial representation, used
-# by the dense group-algebra backends. l=16 shares the tower tables (same field).
+# by the dense group-algebra backends, on packed uint64 arrays. l=16 shares
+# the tower tables (same field).
 # ---------------------------------------------------------------------------
+
+_M32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
 
 
 def refmul16v(a, b):
-    return mul16v(a, b)
+    return _EXP[_LOG[a] + _LOG[b]].astype(np.uint64)
 
 
 def refmul32v(a, b):

@@ -105,25 +105,31 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
     varmap, _ = _index_vars(c)
     last = _last_uses(c)
     vals: list = [None] * len(c.gates)
+    # values are field vectors over the trailing axes (B, 2^K); constants and
+    # tags are (B, 1) and broadcast
+    vectors = vf.to_planes(sub.vectors)
+    tags = vf.to_planes(sub.tags)
+    zero = vf.to_planes(np.zeros((B, 1), dtype=np.uint64))
+    one = vf.to_planes(np.ones((B, 1), dtype=np.uint64))
 
     def leaf_vec(i):
-        z = np.zeros((B, 1 << K), dtype=np.uint64)
-        cv = sub.vectors[:, i, :]
+        cv = vectors[..., i, :]
+        z = np.zeros(cv.shape[:-1] + (1 << K,), dtype=cv.dtype)
         for j in range(K):
             blk = 1 << j
-            z[:, blk : 2 * blk] = z[:, :blk] ^ cv[:, j : j + 1]
+            z[..., blk : 2 * blk] = z[..., :blk] ^ cv[..., j : j + 1]
         return z
 
     for gid, g in enumerate(c.gates):
         if g[0] == "in":
             if g[1][0] == "t":
-                v = sub.tags[:, g[1][1] : g[1][1] + 1]
+                v = tags[..., g[1][1] : g[1][1] + 1]
             else:
                 v = leaf_vec(varmap[g[1]])
         elif g[0] == "c0":
-            v = np.zeros((B, 1), dtype=np.uint64)
+            v = zero
         elif g[0] == "c1":
-            v = np.ones((B, 1), dtype=np.uint64)
+            v = one
         elif g[0] == "add":
             v = vals[g[1]] ^ vals[g[2]]
         else:
@@ -141,10 +147,10 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
                 if last[op] == gid and op != c.output:
                     vals[op] = None
     out = vals[c.output]
-    if out.shape[1] == 1:
+    if out.shape[-1] == 1:
         # constant circuit: degree 0 means no monomial of positive degree
-        return np.zeros(out.shape[0], dtype=np.uint64)
-    return np.bitwise_xor.reduce(out, axis=1)
+        return np.zeros(B, dtype=np.uint64)
+    return vf.from_planes(np.bitwise_xor.reduce(out, axis=-1))
 
 
 def _eval_exact(c: Circuit, sub: Substitution) -> np.ndarray:

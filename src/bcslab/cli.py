@@ -2,8 +2,8 @@
 
 JSON/CSV outputs are versioned ("format": 1) and deterministic for identical
 flags and seed, except for wall-clock fields (millis, median_ms). Exit codes:
-0 yes, 1 no, 2 error. BCSLAB_THREADS caps crosscheck fan-out (default 1;
-results are merged in instance order either way).
+0 yes, 1 no, 2 error. BCSLAB_THREADS caps crosscheck fan-out (default 1, at
+most the CPU count; results are merged in instance order either way).
 """
 from __future__ import annotations
 
@@ -201,8 +201,16 @@ def check_instance(G: RedBlueGraph, ks, trials: int, ell: int, seed: int) -> dic
     return out
 
 
+def _threads() -> int:
+    """BCSLAB_THREADS as a worker count, capped at the CPU count."""
+    raw = os.environ.get("BCSLAB_THREADS", "1")
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"BCSLAB_THREADS must be a positive integer, got {raw!r}")
+    return min(int(raw), os.cpu_count() or 1)
+
+
 def crosscheck_corpus(instances, ks=(2, 4), trials=32, ell=64, seed=1) -> dict:
-    threads = int(os.environ.get("BCSLAB_THREADS", "1"))
+    threads = _threads()
     results = []
     if threads > 1:
         import multiprocessing as mp

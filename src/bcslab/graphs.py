@@ -162,6 +162,8 @@ class Witness:
     @staticmethod
     def from_json(text: str) -> "Witness":
         d = json.loads(text)
+        if not isinstance(d, dict) or "kind" not in d or not isinstance(d.get("edges"), list):
+            raise ValueError('witness JSON must be an object with "kind" and an "edges" list')
         return Witness(WitnessKind(d["kind"]), tuple(d["edges"]))
 
 
@@ -186,6 +188,7 @@ def parse_graph(text) -> RedBlueGraph:
         text = text.decode("utf-8")
     n = m = None
     edges = []
+    seen = set()  # undirected edges as (min, max)
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -216,9 +219,10 @@ def parse_graph(text) -> RedBlueGraph:
             raise GraphFormatError(f"vertex out of range 1..{n}", lineno)
         if u == v:
             raise GraphFormatError("self-loop", lineno)
-        for uu, vv, _ in edges:
-            if {uu, vv} == {u, v}:
-                raise GraphFormatError(f"duplicate undirected edge {{{u},{v}}}", lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(f"duplicate undirected edge {{{u},{v}}}", lineno)
+        seen.add(key)
         edges.append((u, v, color))
     if not header_seen:
         raise GraphFormatError("missing header 'graph <n> <m>'")

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from bcslab.algebra.field import GF2e, POLY, TOWER_C, VecGF, mul16v, refmulv
+from bcslab.algebra.field import _EXP16_LIST, _LOG16_LIST, GF2e, POLY, TOWER_C, VecGF, refmulv
 from bcslab.algebra.group_algebra import (
     Backend,
     Basis,
@@ -89,6 +89,11 @@ def test_vectorized_reference_mult_matches_scalar(ell):
         assert int(c[i]) == f.mul(int(a[i]), int(b[i]))
 
 
+def _planar_mul(vf, a, b):
+    """Packed uint64 operands through the limb-planar kernel, back to packed."""
+    return vf.from_planes(vf.mul(vf.to_planes(a), vf.to_planes(b)))
+
+
 @pytest.mark.parametrize("ell", [16, 32, 64])
 def test_tower_field(ell):
     vf = VecGF(ell)
@@ -96,7 +101,7 @@ def test_tower_field(ell):
     M = (1 << ell) - 1
     a = np.array([rng.randrange(0, M + 1) for _ in range(128)], dtype=np.uint64)
     b = np.array([rng.randrange(0, M + 1) for _ in range(128)], dtype=np.uint64)
-    c = vf.mul(a, b)
+    c = _planar_mul(vf, a, b)
     for i in range(128):
         assert int(c[i]) == vf.mul_scalar(int(a[i]), int(b[i]))
     for _ in range(40):
@@ -106,7 +111,54 @@ def test_tower_field(ell):
         assert vf.mul_scalar(x, 1) == x
     # 16-bit subfield action is limb-wise
     s = np.array([rng.randrange(1, 65536) for _ in range(128)], dtype=np.uint64)
-    assert np.array_equal(vf.mul_scalar16(a, s), vf.mul(a, s))
+    ap, sp = vf.to_planes(a), vf.to_planes(s)
+    assert np.array_equal(vf.mul_scalar16(ap, sp), vf.mul(ap, sp))
+
+
+@pytest.mark.parametrize("ell", [16, 32, 64])
+def test_tower_kernel_edge_cases(ell):
+    # zero and all-ones limbs, the GF(2^16) subfield, and the (P,B,1) x (P,B,W)
+    # broadcasting the sieve uses for constants and tags, against mul_scalar
+    vf = VecGF(ell)
+    rng = random.Random(ell * 11)
+    M = (1 << ell) - 1
+    special = {0, 1, M, 0xFFFF, 0xFFFE, TOWER_C, TOWER_C << 16}
+    for _ in range(6):
+        x = rng.randrange(M + 1)
+        for limb in range(ell // 16):
+            special.add(x & ~(0xFFFF << (16 * limb)))  # one zero limb
+            special.add(x | (0xFFFF << (16 * limb)))  # one all-ones limb
+            special.add(0xFFFF << (16 * limb))
+    special |= {rng.randrange(1, 1 << 16) for _ in range(6)}
+    vals = sorted(v & M for v in special)
+    a = np.array([x for x in vals for _ in vals], dtype=np.uint64)
+    b = np.array([y for _ in vals for y in vals], dtype=np.uint64)
+    c = _planar_mul(vf, a, b)
+    for i in range(a.size):
+        assert int(c[i]) == vf.mul_scalar(int(a[i]), int(b[i]))
+
+    B, W = 5, 7
+    col = np.array([[rng.randrange(M + 1)] for _ in range(B - 2)] + [[0], [1]], dtype=np.uint64)
+    vec = np.array([[rng.randrange(M + 1) for _ in range(W - 1)] + [0] for _ in range(B)],
+                   dtype=np.uint64)
+    tags = np.array([[rng.randrange(1, 1 << 16)] for _ in range(B)], dtype=np.uint64)
+    want = [[vf.mul_scalar(int(col[i, 0]), int(vec[i, j])) for j in range(W)] for i in range(B)]
+    colp, vecp = vf.to_planes(col), vf.to_planes(vec)
+    assert colp.shape == (ell // 16, B, 1) and vecp.shape == (ell // 16, B, W)
+    for prod in (vf.mul(colp, vecp), vf.mul(vecp, colp)):
+        assert prod.shape == vecp.shape
+        assert vf.from_planes(prod).tolist() == want
+    want = [[vf.mul_scalar(int(tags[i, 0]), int(vec[i, j])) for j in range(W)] for i in range(B)]
+    assert vf.from_planes(vf.mul_scalar16(vecp, vf.to_planes(tags))).tolist() == want
+
+
+def test_gf16_tables_are_exp_and_log_of_generator_3():
+    assert sorted(_EXP16_LIST) == list(range(1, 1 << 16))
+    assert all(_LOG16_LIST[e] == i for i, e in enumerate(_EXP16_LIST))
+    f = GF2e(16)
+    rng = random.Random(3)
+    for i in [0, 1, 255, 256, 257, 65534] + [rng.randrange(65535) for _ in range(200)]:
+        assert _EXP16_LIST[i] == f.pow(3, i)
 
 
 def test_tower_l16_matches_reference_field():
@@ -115,7 +167,7 @@ def test_tower_l16_matches_reference_field():
     rng = random.Random(5)
     a = np.array([rng.randrange(0, 65536) for _ in range(200)], dtype=np.uint64)
     b = np.array([rng.randrange(0, 65536) for _ in range(200)], dtype=np.uint64)
-    c = mul16v(a, b)
+    c = _planar_mul(VecGF(16), a, b)
     for i in range(200):
         assert int(c[i]) == f.mul(int(a[i]), int(b[i]))
 

@@ -141,3 +141,45 @@ def test_bad_graph_file_exit_two(tmp_path):
     p = tmp_path / "bad.graph"
     p.write_text("graph 2 1\ne 1 2 X\n")
     assert main(["solve", "--algo", "oracle", "-k", "2", str(p)]) == 2
+
+
+def test_shrink_witness_without_kind_exit_two(tmp_path, capsys):
+    gp = tmp_path / "g.graph"
+    gp.write_text(TRI)
+    wp = tmp_path / "w.json"
+    wp.write_text(json.dumps({"edges": [0, 1]}))
+    assert main(["shrink", "-k", "2", str(gp), str(wp)]) == 2
+    assert '"kind"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", ""])
+def test_bad_threads_exit_two(value, monkeypatch, capsys):
+    monkeypatch.setenv("BCSLAB_THREADS", value)
+    assert main(["crosscheck", "--max-n", "2", "--trials", "2"]) == 2
+    assert "BCSLAB_THREADS" in capsys.readouterr().err
+
+
+def test_threads_capped_at_cpu_count(monkeypatch, capsys):
+    import multiprocessing
+
+    requested = []
+
+    class FakePool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setenv("BCSLAB_THREADS", "64")
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    code, out = _run(capsys, ["crosscheck", "--max-n", "3", "--trials", "4"])
+    assert code == 0 and json.loads(out)["instances"] > 0
+    assert requested == [2]

@@ -52,6 +52,14 @@ def test_parse_error_carries_line_number():
     assert exc.value.line == 4
 
 
+def test_reversed_duplicate_edge_reported_at_its_line():
+    text = "graph 4 3\ne 3 4 B\n# a comment\ne 1 2 R\ne 2 4 R\ne 4 3 R\n"
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert exc.value.line == 6
+    assert str(exc.value) == "line 6: duplicate undirected edge {4,3}"
+
+
 def test_roundtrip_generated():
     for seed in range(40):
         g = random_redblue(6, 0.5, seed)

@@ -111,3 +111,56 @@ def test_exact_path_detects_lower_degree_monomial():
     c = _tiny([("in", ("x", 1)), ("in", ("x", 2)), ("mul", 0, 1), ("add", 2, 0)], 3, 2)
     hits = sum(detect_multilinear(c, 2, 64, 4, s) for s in range(1, 11))
     assert hits == 10
+
+
+# run_trials flags and a digest of the raw top coefficients (sha256 of the
+# little-endian uint64 values, first 16 hex digits), recorded with the packed
+# uint64 Karatsuba kernels that preceded the limb-planar one; any change to the
+# field, the draws or the evaluation order shows here
+_GOLDEN = {
+    32: {
+        ("ebcs", 11, 1): ("11111111", "5bad98857c736cbb"),
+        ("ebcs", 11, 2): ("11111111", "e8827b83ba42db08"),
+        ("ebt", 12, 1): ("11111111", "84d550bcb835cba9"),
+        ("ebt", 12, 2): ("11111111", "e133f3033c0ed983"),
+        ("ebp", 13, 1): ("11111111", "386c71e64c97a0dd"),
+        ("ebp", 13, 2): ("11111111", "9b55d6402fb08e47"),
+    },
+    64: {
+        ("ebcs", 11, 1): ("11111111", "98c7a27bf3a37c82"),
+        ("ebcs", 11, 2): ("11111111", "49a8079452ba0ba5"),
+        ("ebt", 12, 1): ("11111111", "f47b11706f17562b"),
+        ("ebt", 12, 2): ("11111111", "f03c90a03eefb1d3"),
+        ("ebp", 13, 1): ("11111111", "b654b378954437e5"),
+        ("ebp", 13, 2): ("11111111", "20beefc921342450"),
+    },
+}
+_GOLDEN_GRAPHS = {11: (6, 0.5), 12: (6, 0.5), 13: (7, 0.4), 103: (7, 0.4)}
+
+
+def _golden_circuit(name, gseed):
+    from bcslab.algebra.circuits import build_circuit_ebcs, build_circuit_ebt
+
+    build, extra = {"ebcs": (build_circuit_ebcs, 0), "ebt": (build_circuit_ebt, 1),
+                    "ebp": (build_circuit_ebp, 1)}[name]
+    return build(random_redblue(*_GOLDEN_GRAPHS[gseed], gseed), 4), 4 + extra
+
+
+@pytest.mark.parametrize("ell", [32, 64])
+def test_golden_decisions(ell):
+    import hashlib
+
+    from bcslab.algebra.mldetect import _eval_fast, _index_vars
+
+    for (name, gseed, seed), (flags, digest) in _GOLDEN[ell].items():
+        c, k_dim = _golden_circuit(name, gseed)
+        got = run_trials(c, k_dim, ell, 8, seed)
+        assert "".join("1" if f else "0" for f in got) == flags, (name, gseed, seed)
+        sub = draw_substitution(len(_index_vars(c)[1]), c.n_tags, k_dim, ell, seed, 8)
+        vals = _eval_fast(c, sub)
+        assert hashlib.sha256(vals.astype("<u8").tobytes()).hexdigest()[:16] == digest
+    # the same graph has no balanced witness of any kind at k = 4
+    for name in ("ebcs", "ebt", "ebp"):
+        c, k_dim = _golden_circuit(name, 103)
+        for seed in (1, 2):
+            assert not run_trials(c, k_dim, ell, 8, seed).any()
