@@ -137,14 +137,20 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
     full = (1 << k) - 1
 
     def edges_of(e, r, b, L):
-        bp = table[(e, r, b)][L]
-        if bp[0] == "base":
-            return {e}
-        if bp[0] == "ext":
-            _, e2, L2, rc, bc = bp
-            return {e} | edges_of(e2, rc, bc, L2)
-        _, e1, L1, r1, b1, e2, L2, r2, b2 = bp
-        return {e} | edges_of(e1, r1, b1, L1) | edges_of(e2, r2, b2, L2)
+        out = set()
+        stack = [(e, r, b, L)]
+        while stack:
+            e, r, b, L = stack.pop()
+            out.add(e)
+            bp = table[(e, r, b)][L]
+            if bp[0] == "ext":
+                _, e2, L2, rc, bc = bp
+                stack.append((e2, rc, bc, L2))
+            elif bp[0] == "split":
+                _, e1, L1, r1, b1, e2, L2, r2, b2 = bp
+                stack.append((e1, r1, b1, L1))
+                stack.append((e2, r2, b2, L2))
+        return out
 
     for e in range(G.m):
         cell = table.get((e, half, half))
@@ -239,14 +245,20 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
     full = (1 << (k + 1)) - 1
 
     def edges_of(e, r, b, L):
-        bp = table[(e, r, b)][L]
-        if bp[0] == "base":
-            return {e}
-        if bp[0] == "pend":
-            _, e2, L2, rc, bc, _leaf = bp
-            return {e} | edges_of(e2, rc, bc, L2)
-        _, e1, L1, r1, b1, e2, L2, r2, b2 = bp
-        return {e} | edges_of(e1, r1, b1, L1) | edges_of(e2, r2, b2, L2)
+        out = set()
+        stack = [(e, r, b, L)]
+        while stack:
+            e, r, b, L = stack.pop()
+            out.add(e)
+            bp = table[(e, r, b)][L]
+            if bp[0] == "pend":
+                _, e2, L2, rc, bc, _leaf = bp
+                stack.append((e2, rc, bc, L2))
+            elif bp[0] == "split":
+                _, e1, L1, r1, b1, e2, L2, r2, b2 = bp
+                stack.append((e1, r1, b1, L1))
+                stack.append((e2, r2, b2, L2))
+        return out
 
     for e in range(G.m):
         cell = table.get((e, half, half))

@@ -183,3 +183,18 @@ def test_threads_capped_at_cpu_count(monkeypatch, capsys):
     code, out = _run(capsys, ["crosscheck", "--max-n", "3", "--trials", "4"])
     assert code == 0 and json.loads(out)["instances"] > 0
     assert requested == [2]
+
+
+def test_shrink_long_alternating_path(tmp_path, capsys):
+    from bcslab.graphs import Witness, WitnessKind, parse_graph, validate_witness
+
+    text = "graph 2001 2000\n" + "".join(
+        f"e {i + 1} {i + 2} {'RB'[i % 2]}\n" for i in range(2000))
+    gp = tmp_path / "p.graph"
+    gp.write_text(text)
+    wp = tmp_path / "w.json"
+    wp.write_text(json.dumps({"kind": "path", "edges": list(range(2000))}))
+    code, out = _run(capsys, ["shrink", "-k", "4", str(gp), str(wp)])
+    w = Witness.from_json(out)
+    assert code == 0 and w.kind is WitnessKind.PATH and 4 <= w.size <= 7
+    assert validate_witness(parse_graph(text), w, w.size).valid

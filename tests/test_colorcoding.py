@@ -153,3 +153,47 @@ def test_mc_driver_deterministic_per_seed():
     a = random_coloring_driver(g, 2, WitnessKind.SUBGRAPH, 0.1, seed=5)
     b = random_coloring_driver(g, 2, WitnessKind.SUBGRAPH, 0.1, seed=5)
     assert a == b
+
+
+def _garbage_after(fn):
+    """Unreachable objects a call leaves for the cycle collector."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_colorful_dps_leave_no_cyclic_garbage():
+    g = random_redblue(8, 0.6, 5)
+    k = 4
+    rng = random.Random(1)
+    found = []
+
+    def run(dp, coloring):
+        def calls():
+            for _ in range(20):
+                found.append(dp(g, coloring(), k) is not None)
+        return calls
+
+    sigma = lambda: EdgeColoring(k, tuple(rng.randrange(1, k + 1) for _ in range(g.m)))
+    tau = lambda: VertexColoring(k, (0,) + tuple(rng.randrange(1, k + 2) for _ in range(g.n)))
+    assert _garbage_after(run(colorful_bcs_dp, sigma)) == 0
+    assert _garbage_after(run(colorful_bt_dp, tau)) == 0
+    assert _garbage_after(run(colorful_ebp_dp, tau)) == 0
+    assert any(found)  # the witness reconstructions ran
+
+
+@pytest.mark.parametrize("kind", list(WitnessKind))
+def test_randomized_solve_leaves_no_cyclic_garbage(kind):
+    from bcslab.algebra.mldetect import randomized_solve
+
+    g = random_redblue(8, 0.6, 5)
+    answers = []
+    garbage = _garbage_after(lambda: answers.append(
+        randomized_solve(g, 4, kind, trials=4, seed=1, want_witness=True, ell=16)))
+    assert garbage == 0 and answers[0].witness is not None

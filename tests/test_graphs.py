@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcslab.graphs import (
     EdgeColor,
@@ -8,6 +10,7 @@ from bcslab.graphs import (
     RedBlueGraph,
     Witness,
     WitnessKind,
+    _edge_set_connected,
     line_graph,
     parse_graph,
     serialize_graph,
@@ -221,3 +224,95 @@ def test_split_partition_exhaustive_vs_brute():
 def test_witness_json_roundtrip():
     w = Witness(WitnessKind.PATH, (3, 1, 2))
     assert Witness.from_json(w.to_json()) == Witness(WitnessKind.PATH, (1, 2, 3))
+
+
+def _is_split_partition(g, clique, independent):
+    """Pairwise check: clique is complete, independent has no edge."""
+    eset = {frozenset(g.endpoints(i)) for i in range(g.m)}
+    if clique | independent != set(range(1, g.n + 1)) or clique & independent:
+        return False
+    return (all(frozenset((a, b)) in eset for a, b in itertools.combinations(clique, 2))
+            and not any(frozenset((a, b)) in eset
+                        for a, b in itertools.combinations(independent, 2)))
+
+
+def _random_split_graph(rng, clique, independent, p):
+    pairs = [(a, b) for a in range(1, clique + 1) for b in range(a + 1, clique + 1)]
+    pairs += [(c, v) for v in range(clique + 1, clique + independent + 1)
+              for c in range(1, clique + 1) if rng.random() < p]
+    label = list(range(1, clique + independent + 1))
+    rng.shuffle(label)
+    return [(label[a - 1], label[b - 1]) for a, b in pairs]
+
+
+def test_split_partition_random_vs_brute():
+    import random
+
+    rng = random.Random(5)
+    outcomes = set()
+    for trial in range(300):
+        n = rng.randrange(1, 9)
+        if trial % 2:
+            c = rng.randrange(0, n + 1)
+            pairs = _random_split_graph(rng, c, n - c, 0.4)
+        else:
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                     if rng.random() < 0.5]
+        g = RedBlueGraph(n, tuple((a, b, rng.choice((R, B))) for a, b in pairs))
+        brute = any(_is_split_partition(g, set(cl), set(range(1, n + 1)) - set(cl))
+                    for r in range(n + 1) for cl in itertools.combinations(range(1, n + 1), r))
+        part = split_partition(g)
+        outcomes.add(brute)
+        assert (part is not None) == brute
+        if part is not None:
+            assert _is_split_partition(g, *part)
+    assert outcomes == {True, False}
+
+
+def test_split_partition_large_independent_side():
+    import random
+
+    rng = random.Random(6)
+    pairs = _random_split_graph(rng, 30, 600, 0.1)
+    g = RedBlueGraph(630, tuple((a, b, R) for a, b in pairs))
+    clique, independent = split_partition(g)
+    assert _is_split_partition(g, clique, independent) and len(independent) >= 600
+    # an induced 2K2 on four independent vertices makes the graph non-split
+    a, b, c, d = sorted(independent)[:4]
+    g2 = RedBlueGraph(630, g.edges + ((a, b, B), (c, d, B)))
+    assert split_partition(g2) is None
+
+
+def _edge_set_connected_reference(g, edge_indices):
+    """The host-adjacency walk that defined witness connectivity."""
+    idx = list(edge_indices)
+    if not idx:
+        return False
+    verts = {x for i in idx for x in g.endpoints(i)}
+    chosen = set(idx)
+    seen = {g.edges[idx[0]][0]}
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for y, j in g.adjacency[x]:
+            if j in chosen and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen == verts
+
+
+@st.composite
+def graph_and_edge_subset(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = RedBlueGraph(n, tuple((a, b, R) for a, b in chosen))
+    subset = draw(st.lists(st.sampled_from(range(g.m)), unique=True)) if g.m else []
+    return g, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_edge_subset())
+def test_edge_set_connected_matches_reference(case):
+    g, subset = case
+    assert _edge_set_connected(g, subset) == _edge_set_connected_reference(g, subset)
