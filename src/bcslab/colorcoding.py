@@ -3,12 +3,18 @@
 An edge coloring sigma: E -> [k] (or vertex coloring tau: V -> [k+1]) turns
 the balanced search into a colorful one: the DPs below decide whether some
 balanced structure uses every label exactly once, in time ~ 4^k, and
-reconstruct a witness through stored predecessors. Two drivers lift the
+rebuild a witness by walking back through their tables. Two drivers lift the
 colorful DPs back to the uncolored problems: a Monte Carlo loop with
 ceil(e^k ln(1/delta)) uniformly random colorings, and a greedy-cover hash
-family that is exact at test scale.
+family that is exact at test scale (Alon, Yuster, Zwick, "Color-coding",
+JACM 1995).
 
-Label subsets are bitmasks (label i occupies bit i-1); k is capped at 62.
+A label set is a bitmask (label i occupies bit i-1). A table cell, one per
+anchor and (red, blue) edge count, is a Python int whose bit L is set when
+label set L is reachable, so a cell over h labels is 2^h bits wide; h is
+capped at MAX_LABELS = 20. Adding label bit c to the sets of a cell S that
+lack it is (S & keep[c]) << c, and the disjoint-union join of two cells walks
+the set bits L1 of the sparser one and ORs in (other & disjoint_from[L1]) << L1.
 """
 from __future__ import annotations
 
@@ -56,275 +62,321 @@ def _check_tau(G, tau, k):
         raise ValueError("vertex coloring does not match (G, k)")
 
 
-def _merge_cells(table, anchors, key_rb):
-    """Union of {Lmask: anchor} over anchor cells at fixed (r, b); first anchor wins."""
-    merged = {}
-    for a in anchors:
-        cell = table.get((a,) + key_rb)
+MAX_LABELS = 20
+
+
+@lru_cache(maxsize=None)
+def _keep_masks(labels: int) -> tuple:
+    """keep[i]: the bits L of a cell over `labels` labels whose set L lacks bit i.
+
+    Raises ValueError past MAX_LABELS, before any cell is allocated.
+    """
+    if labels > MAX_LABELS:
+        raise ValueError("k too large for bitmask labels")
+    width = 1 << labels
+    keep = []
+    for i in range(labels):
+        mask, period = (1 << (1 << i)) - 1, 2 << i
+        while period < width:
+            mask |= mask << period
+            period <<= 1
+        keep.append(mask)
+    return tuple(keep)
+
+
+def _disjoint_from(L: int, disjoint: dict, keep: tuple) -> int:
+    """The bits of a cell whose label sets miss L; memoised in `disjoint`."""
+    d = disjoint.get(L)
+    if d is None:
+        low = L & -L
+        d = _disjoint_from(L ^ low, disjoint, keep) & keep[low.bit_length() - 1]
+        disjoint[L] = d
+    return d
+
+
+def _join(a: int, b: int, disjoint: dict, keep: tuple) -> int:
+    """The cell of every L1 | L2 with L1 in a, L2 in b and L1 & L2 == 0."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        L1 = low.bit_length() - 1
+        d = disjoint.get(L1)
+        if d is None:
+            d = _disjoint_from(L1, disjoint, keep)
+        out |= (b & d) << L1
+        a ^= low
+    return out
+
+
+@lru_cache(maxsize=None)
+def _level(j: int, half: int) -> tuple:
+    """The (red, blue) counts of j edges with at most half of each color."""
+    return tuple((r, j - r) for r in range(max(0, j - half), min(half, j) + 1))
+
+
+@lru_cache(maxsize=None)
+def _splits(rc: int, bc: int) -> tuple:
+    """Ordered ((r1, b1), (r2, b2)), both parts nonempty, summing to (rc, bc)."""
+    return tuple(((r1, b1), (rc - r1, bc - b1))
+                 for r1 in range(rc + 1) for b1 in range(bc + 1)
+                 if r1 + b1 and rc - r1 + bc - b1)
+
+
+def _submasks(L: int):
+    """Every submask of L, from L down to 0."""
+    sub = L
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & L
+
+
+def _vertex_unions(n: int, ends: list, row: list) -> list:
+    """acc[x]: the union of row[e] over the edges e at vertex x."""
+    acc = [0] * (n + 1)
+    for (u, v), cell in zip(ends, row):
         if cell:
-            for L in cell:
-                if L not in merged:
-                    merged[L] = a
-    return merged
+            acc[u] |= cell
+            acc[v] |= cell
+    return acc
+
+
+def _holder(row: list, G: RedBlueGraph, vertices, L: int) -> int:
+    """The first edge at the given vertices, in adjacency order, whose cell holds L."""
+    return next(e for x in vertices for _, e in G.adjacency[x] if row[e] >> L & 1)
 
 
 def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
                     stats: Optional[dict] = None) -> Optional[Witness]:
-    """[k]-edge-colorful balanced connected subgraph of size k, if any."""
+    """[k]-edge-colorful balanced connected subgraph of size k, if any.
+
+    stats["entries"], when given, counts the (anchor, r, b, label set)
+    entries the table reached.
+    """
     require_even_k(k)
     _check_sigma(G, sigma, k)
-    if k > 62:
-        raise ValueError("k too large for bitmask labels")
+    keep = _keep_masks(k)
     half = k // 2
-    sbit = [1 << (l - 1) for l in sigma.labels]
-    nbrs = [G.edge_neighbors(e) for e in range(G.m)]
-    red = [G.color(e) is EdgeColor.RED for e in range(G.m)]
-
-    table = {}  # (e, r, b) -> {Lmask: backptr}
-    for e in range(G.m):
-        key = (e, 1, 0) if red[e] else (e, 0, 1)
-        table.setdefault(key, {})[sbit[e]] = ("base",)
+    m = G.m
+    ends = [(u, v) for u, v, _ in G.edges]
+    red = [c is EdgeColor.RED for _, _, c in G.edges]
+    lab = [l - 1 for l in sigma.labels]
+    disjoint = {0: (1 << (1 << k)) - 1}
+    # cells[r][b][e]: label sets of connected subgraphs with r red and b blue
+    # edges that contain e. near[r][b][e]: those that contain an edge at an
+    # end of e and lack e's label (a set holding e itself has e's label).
+    cells = [[None] * (half + 1) for _ in range(half + 1)]
+    near = [[None] * (half + 1) for _ in range(half + 1)]
+    cells[1][0] = [1 << (1 << c) if is_red else 0 for c, is_red in zip(lab, red)]
+    cells[0][1] = [0 if is_red else 1 << (1 << c) for c, is_red in zip(lab, red)]
+    entries = m
     for j in range(2, k + 1):
+        for r, b in _level(j - 1, half):
+            acc = _vertex_unions(G.n, ends, cells[r][b])
+            near[r][b] = [(acc[u] | acc[v]) & keep[c] for (u, v), c in zip(ends, lab)]
         alive = False
-        for r in range(max(0, j - half), min(half, j) + 1):
-            b = j - r
-            for e in range(G.m):
-                if (red[e] and r == 0) or (not red[e] and b == 0):
-                    continue
-                bit = sbit[e]
-                rc, bc = (r - 1, b) if red[e] else (r, b - 1)
-                cell = {}
-                for e2 in nbrs[e]:
-                    child = table.get((e2, rc, bc))
-                    if not child:
+        for r, b in _level(j, half):
+            row = [0] * m
+            for e in range(m):
+                if red[e]:
+                    if not r:
                         continue
-                    for L2 in child:
-                        if L2 & bit:
-                            continue
-                        L = L2 | bit
-                        if L not in cell:
-                            cell[L] = ("ext", e2, L2, rc, bc)
-                for r1 in range(0, rc + 1):
-                    for b1 in range(0, bc + 1):
-                        if r1 + b1 < 1 or (rc - r1) + (bc - b1) < 1:
-                            continue
-                        r2, b2 = rc - r1, bc - b1
-                        m1 = _merge_cells(table, nbrs[e], (r1, b1))
-                        if not m1:
-                            continue
-                        m2 = _merge_cells(table, nbrs[e], (r2, b2))
-                        if not m2:
-                            continue
-                        for L1, e1 in m1.items():
-                            if L1 & bit:
-                                continue
-                            for L2, e2 in m2.items():
-                                if L2 & (L1 | bit):
-                                    continue
-                                L = L1 | L2 | bit
-                                if L not in cell:
-                                    cell[L] = ("split", e1, L1, r1, b1, e2, L2, r2, b2)
+                    rc, bc = r - 1, b
+                elif not b:
+                    continue
+                else:
+                    rc, bc = r, b - 1
+                cell = near[rc][bc][e]
+                for (r1, b1), (r2, b2) in _splits(rc, bc):
+                    if (r1, b1) <= (r2, b2):  # the join is symmetric
+                        n1, n2 = near[r1][b1][e], near[r2][b2][e]
+                        if n1 and n2:
+                            cell |= _join(n1, n2, disjoint, keep)
                 if cell:
-                    table[(e, r, b)] = cell
+                    row[e] = cell << (1 << lab[e])
+                    entries += cell.bit_count()
                     alive = True
+            cells[r][b] = row
         if not alive:
-            if stats is not None:
-                stats["entries"] = sum(len(c) for c in table.values())
-            return None
+            break
     if stats is not None:
-        stats["entries"] = sum(len(c) for c in table.values())
+        stats["entries"] = entries
+    if not alive:
+        return None
 
     full = (1 << k) - 1
-
-    def edges_of(e, r, b, L):
-        out = set()
-        stack = [(e, r, b, L)]
-        while stack:
-            e, r, b, L = stack.pop()
-            out.add(e)
-            bp = table[(e, r, b)][L]
-            if bp[0] == "ext":
-                _, e2, L2, rc, bc = bp
-                stack.append((e2, rc, bc, L2))
-            elif bp[0] == "split":
-                _, e1, L1, r1, b1, e2, L2, r2, b2 = bp
-                stack.append((e1, r1, b1, L1))
-                stack.append((e2, r2, b2, L2))
-        return out
-
-    for e in range(G.m):
-        cell = table.get((e, half, half))
-        if cell and full in cell:
-            return Witness(WitnessKind.SUBGRAPH, tuple(sorted(edges_of(e, half, half, full))))
-    return None
+    top = cells[half][half]
+    anchor = next((e for e in range(m) if top[e] >> full & 1), None)
+    if anchor is None:
+        return None
+    out = []
+    stack = [(anchor, half, half, full)]
+    while stack:
+        e, r, b, L = stack.pop()
+        out.append(e)
+        if r + b == 1:
+            continue
+        rc, bc = (r - 1, b) if red[e] else (r, b - 1)
+        rest = L ^ (1 << lab[e])
+        if near[rc][bc][e] >> rest & 1:
+            stack.append((_holder(cells[rc][bc], G, ends[e], rest), rc, bc, rest))
+            continue
+        for (r1, b1), (r2, b2) in _splits(rc, bc):
+            n1, n2 = near[r1][b1][e], near[r2][b2][e]
+            L1 = next((s for s in _submasks(rest) if n1 >> s & 1 and n2 >> (rest ^ s) & 1),
+                      None)
+            if L1 is not None:
+                stack.append((_holder(cells[r1][b1], G, ends[e], L1), r1, b1, L1))
+                stack.append((_holder(cells[r2][b2], G, ends[e], rest ^ L1), r2, b2, rest ^ L1))
+                break
+    return Witness(WitnessKind.SUBGRAPH, tuple(sorted(out)))
 
 
 def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
     """[k+1]-vertex-colorful balanced tree with k edges, if any."""
     require_even_k(k)
     _check_tau(G, tau, k)
-    if k + 1 > 62:
-        raise ValueError("k too large for bitmask labels")
+    keep = _keep_masks(k + 1)
     half = k // 2
-    vbit = [0] + [1 << (l - 1) for l in tau.labels[1:]]
-    red = [G.color(e) is EdgeColor.RED for e in range(G.m)]
-    # neighbors of edge e incident to a given endpoint
-    at = []  # at[e] = (edges at u other than e, edges at v other than e)
-    for e in range(G.m):
-        u, v, _ = G.edges[e]
-        eu = sorted(j for w, j in G.adjacency[u] if j != e and w != v)
-        ev = sorted(j for w, j in G.adjacency[v] if j != e and w != u)
-        at.append((eu, ev))
-
-    table = {}
-    for e in range(G.m):
-        u, v, _ = G.edges[e]
-        if vbit[u] == vbit[v]:
-            continue
-        key = (e, 1, 0) if red[e] else (e, 0, 1)
-        table.setdefault(key, {})[vbit[u] | vbit[v]] = ("base",)
+    m = G.m
+    ends = [(u, v) for u, v, _ in G.edges]
+    red = [c is EdgeColor.RED for _, _, c in G.edges]
+    lab = [l - 1 for l in tau.labels]
+    disjoint = {0: (1 << (1 << (k + 1))) - 1}
+    # cells[r][b][e]: vertex label sets of colorful trees with r red and b blue
+    # edges that contain e; at[r][b][x]: the union over the edges at x. A tree
+    # through x holds x's label, which is what keeps e out of its own sides.
+    cells = [[None] * (half + 1) for _ in range(half + 1)]
+    at = [[None] * (half + 1) for _ in range(half + 1)]
+    base = [1 << ((1 << lab[u]) | (1 << lab[v])) if lab[u] != lab[v] else 0 for u, v in ends]
+    cells[1][0] = [c if is_red else 0 for c, is_red in zip(base, red)]
+    cells[0][1] = [0 if is_red else c for c, is_red in zip(base, red)]
     for j in range(2, k + 1):
+        for r, b in _level(j - 1, half):
+            at[r][b] = _vertex_unions(G.n, ends, cells[r][b])
         alive = False
-        for r in range(max(0, j - half), min(half, j) + 1):
-            b = j - r
-            for e in range(G.m):
-                if (red[e] and r == 0) or (not red[e] and b == 0):
+        for r, b in _level(j, half):
+            row = [0] * m
+            for e in range(m):
+                if red[e]:
+                    if not r:
+                        continue
+                    rc, bc = r - 1, b
+                elif not b:
                     continue
-                u, v, _ = G.edges[e]
-                bu, bv = vbit[u], vbit[v]
-                rc, bc = (r - 1, b) if red[e] else (r, b - 1)
-                eu, ev = at[e]
-                cell = {}
-                # u is a pendant leaf: rest anchored at an edge through v
-                for e2 in ev:
-                    child = table.get((e2, rc, bc))
-                    if not child:
-                        continue
-                    for L2 in child:
-                        if L2 & bu:
-                            continue
-                        L = L2 | bu
-                        if L not in cell:
-                            cell[L] = ("pend", e2, L2, rc, bc, u)
-                # v is a pendant leaf
-                for e2 in eu:
-                    child = table.get((e2, rc, bc))
-                    if not child:
-                        continue
-                    for L2 in child:
-                        if L2 & bv:
-                            continue
-                        L = L2 | bv
-                        if L not in cell:
-                            cell[L] = ("pend", e2, L2, rc, bc, v)
-                # split: u-side tree (anchored at e1 through u) + v-side tree
-                for r1 in range(0, rc + 1):
-                    for b1 in range(0, bc + 1):
-                        if r1 + b1 < 1 or (rc - r1) + (bc - b1) < 1:
-                            continue
-                        r2, b2 = rc - r1, bc - b1
-                        m1 = _merge_cells(table, eu, (r1, b1))
-                        if not m1:
-                            continue
-                        m2 = _merge_cells(table, ev, (r2, b2))
-                        if not m2:
-                            continue
-                        for L1, e1 in m1.items():
-                            for L2, e2 in m2.items():
-                                if L1 & L2:
-                                    continue
-                                L = L1 | L2
-                                if L not in cell:
-                                    cell[L] = ("split", e1, L1, r1, b1, e2, L2, r2, b2)
+                else:
+                    rc, bc = r, b - 1
+                u, v = ends[e]
+                cu, cv = lab[u], lab[v]
+                # u or v a pendant leaf, then a u-side and a v-side subtree
+                cell = ((at[rc][bc][v] & keep[cu]) << (1 << cu)
+                        | (at[rc][bc][u] & keep[cv]) << (1 << cv))
+                for (r1, b1), (r2, b2) in _splits(rc, bc):
+                    n1, n2 = at[r1][b1][u], at[r2][b2][v]
+                    if n1 and n2:
+                        cell |= _join(n1, n2, disjoint, keep)
                 if cell:
-                    table[(e, r, b)] = cell
+                    row[e] = cell
                     alive = True
+            cells[r][b] = row
         if not alive:
             return None
 
     full = (1 << (k + 1)) - 1
-
-    def edges_of(e, r, b, L):
-        out = set()
-        stack = [(e, r, b, L)]
-        while stack:
-            e, r, b, L = stack.pop()
-            out.add(e)
-            bp = table[(e, r, b)][L]
-            if bp[0] == "pend":
-                _, e2, L2, rc, bc, _leaf = bp
-                stack.append((e2, rc, bc, L2))
-            elif bp[0] == "split":
-                _, e1, L1, r1, b1, e2, L2, r2, b2 = bp
-                stack.append((e1, r1, b1, L1))
-                stack.append((e2, r2, b2, L2))
-        return out
-
-    for e in range(G.m):
-        cell = table.get((e, half, half))
-        if cell and full in cell:
-            return Witness(WitnessKind.TREE, tuple(sorted(edges_of(e, half, half, full))))
-    return None
+    top = cells[half][half]
+    anchor = next((e for e in range(m) if top[e] >> full & 1), None)
+    if anchor is None:
+        return None
+    out = []
+    stack = [(anchor, half, half, full)]
+    while stack:
+        e, r, b, L = stack.pop()
+        out.append(e)
+        if r + b == 1:
+            continue
+        rc, bc = (r - 1, b) if red[e] else (r, b - 1)
+        u, v = ends[e]
+        bu, bv = 1 << lab[u], 1 << lab[v]
+        if at[rc][bc][v] >> (L ^ bu) & 1:
+            stack.append((_holder(cells[rc][bc], G, (v,), L ^ bu), rc, bc, L ^ bu))
+            continue
+        if at[rc][bc][u] >> (L ^ bv) & 1:
+            stack.append((_holder(cells[rc][bc], G, (u,), L ^ bv), rc, bc, L ^ bv))
+            continue
+        rest = L ^ bu ^ bv
+        for (r1, b1), (r2, b2) in _splits(rc, bc):
+            n1, n2 = at[r1][b1][u], at[r2][b2][v]
+            s = next((s for s in _submasks(rest) if n1 >> (s | bu) & 1
+                      and n2 >> (rest ^ s | bv) & 1), None)
+            if s is not None:
+                L1, L2 = s | bu, rest ^ s | bv
+                stack.append((_holder(cells[r1][b1], G, (u,), L1), r1, b1, L1))
+                stack.append((_holder(cells[r2][b2], G, (v,), L2), r2, b2, L2))
+                break
+    return Witness(WitnessKind.TREE, tuple(sorted(out)))
 
 
 def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
     """[k+1]-vertex-colorful balanced path with k edges, if any."""
     require_even_k(k)
     _check_tau(G, tau, k)
-    if k + 1 > 62:
-        raise ValueError("k too large for bitmask labels")
+    keep = _keep_masks(k + 1)
     half = k // 2
-    vbit = [0] + [1 << (l - 1) for l in tau.labels[1:]]
-
-    table = {}  # (v, r, b) -> {Lmask: backptr}; paths ending at v
-    for v in range(1, G.n + 1):
-        table[(v, 0, 0)] = {vbit[v]: ("base",)}
+    n = G.n
+    lab = [l - 1 for l in tau.labels]
+    reds = [[] for _ in range(n + 1)]
+    blues = [[] for _ in range(n + 1)]
+    for u, v, c in G.edges:
+        side = reds if c is EdgeColor.RED else blues
+        side[u].append(v)
+        side[v].append(u)
+    # cells[r][b][v]: vertex label sets of colorful paths ending at v
+    cells = [[None] * (half + 1) for _ in range(half + 1)]
+    cells[0][0] = [0] + [1 << (1 << c) for c in lab[1:]]
     for j in range(1, k + 1):
         alive = False
-        for r in range(max(0, j - half), min(half, j) + 1):
-            b = j - r
-            for v in range(1, G.n + 1):
-                bitv = vbit[v]
-                cell = {}
-                for u, e in G.adjacency[v]:
-                    if G.color(e) is EdgeColor.RED:
-                        rc, bc = r - 1, b
-                    else:
-                        rc, bc = r, b - 1
-                    if rc < 0 or bc < 0:
-                        continue
-                    child = table.get((u, rc, bc))
-                    if not child:
-                        continue
-                    for L2 in child:
-                        if L2 & bitv:
-                            continue
-                        L = L2 | bitv
-                        if L not in cell:
-                            cell[L] = ("step", u, L2, rc, bc, e)
-                if cell:
-                    table[(v, r, b)] = cell
-                    alive = True
+        for r, b in _level(j, half):
+            from_red = cells[r - 1][b] if r else None
+            from_blue = cells[r][b - 1] if b else None
+            row = [0] * (n + 1)
+            for v in range(1, n + 1):
+                acc = 0
+                if from_red is not None:
+                    for u in reds[v]:
+                        acc |= from_red[u]
+                if from_blue is not None:
+                    for u in blues[v]:
+                        acc |= from_blue[u]
+                if acc:
+                    c = lab[v]
+                    acc = (acc & keep[c]) << (1 << c)
+                    if acc:
+                        row[v] = acc
+                        alive = True
+            cells[r][b] = row
         if not alive:
             return None
 
     full = (1 << (k + 1)) - 1
-
-    def edges_of(v, r, b, L):
-        out = []
-        while True:
-            bp = table[(v, r, b)][L]
-            if bp[0] == "base":
-                return out
-            _, u, L2, rc, bc, e = bp
-            out.append(e)
-            v, r, b, L = u, rc, bc, L2
-
-    for v in range(1, G.n + 1):
-        cell = table.get((v, half, half))
-        if cell and full in cell:
-            return Witness(WitnessKind.PATH, tuple(sorted(edges_of(v, half, half, full))))
-    return None
+    top = cells[half][half]
+    v = next((v for v in range(1, n + 1) if top[v] >> full & 1), None)
+    if v is None:
+        return None
+    # step back through the first neighbour, in adjacency order, holding the rest
+    out = []
+    r, b, L = half, half, full
+    while r + b:
+        L ^= 1 << lab[v]
+        for u, e in G.adjacency[v]:
+            rc, bc = (r - 1, b) if G.edges[e][2] is EdgeColor.RED else (r, b - 1)
+            if rc >= 0 and bc >= 0 and cells[rc][bc][u] >> L & 1:
+                out.append(e)
+                v, r, b = u, rc, bc
+                break
+    return Witness(WitnessKind.PATH, tuple(sorted(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +385,12 @@ def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wi
 
 _FAMILY_SEED = 987654321
 _FAMILY_POOL = 24
+_FAMILY_MAX_UNIVERSE = 20
+_FAMILY_MAX_LABELS = 6
+# family_driver past greedy_hash_family's scale: random colorings at this
+# failure probability and seed
+_FALLBACK_DELTA = 1e-3
+_FALLBACK_SEED = _FAMILY_SEED
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +401,7 @@ def greedy_hash_family(universe_size: int, k: int) -> tuple:
     only: universe_size <= 20, k <= 6.
     """
     m, kk = universe_size, k
-    if m > 20 or kk > 6:
+    if m > _FAMILY_MAX_UNIVERSE or kk > _FAMILY_MAX_LABELS:
         raise ValueError("greedy_hash_family scale limit exceeded (m <= 20, k <= 6)")
     if kk < 1 or m < kk:
         raise ValueError("need 1 <= k <= universe_size")
@@ -393,47 +451,50 @@ def _feasible(G: RedBlueGraph, k: int, kind: WitnessKind) -> bool:
     if kind in (WitnessKind.TREE, WitnessKind.PATH) and G.n < k + 1:
         return False
     # some connected component must carry >= k/2 of each color
-    seen = set()
+    comp = [0] * (G.n + 1)
     for s in range(1, G.n + 1):
-        if s in seen:
+        if comp[s]:
             continue
-        comp = {s}
+        comp[s] = s
         stack = [s]
         while stack:
-            x = stack.pop()
-            for y, _ in G.adjacency[x]:
-                if y not in comp:
-                    comp.add(y)
+            for y, _ in G.adjacency[stack.pop()]:
+                if not comp[y]:
+                    comp[y] = s
                     stack.append(y)
-        seen |= comp
-        cr = cb = 0
-        for u, v, c in G.edges:
-            if u in comp:
-                if c is EdgeColor.RED:
-                    cr += 1
-                else:
-                    cb += 1
-        if cr >= half and cb >= half and cr + cb >= k:
-            return True
-    return False
+    reds = [0] * (G.n + 1)
+    blues = [0] * (G.n + 1)
+    for u, _, c in G.edges:
+        if c is EdgeColor.RED:
+            reds[comp[u]] += 1
+        else:
+            blues[comp[u]] += 1
+    return any(r >= half and b >= half for r, b in zip(reds, blues))
 
 
 def family_driver(G: RedBlueGraph, k: int, kind: WitnessKind) -> Optional[Witness]:
-    """Run the colorful DP over the greedy hash family; exact at family scale."""
+    """Run the colorful DP over the greedy hash family; exact at family scale.
+
+    Past greedy_hash_family's scale (more than 20 edges for subgraphs or
+    vertices for trees and paths, or more than 6 labels) it returns
+    random_coloring_driver(G, k, kind, _FALLBACK_DELTA, _FALLBACK_SEED)
+    instead, which is one-sided: a witness is always valid, and a solution is
+    missed with probability at most _FALLBACK_DELTA = 1e-3.
+    """
     require_even_k(k)
     if not _feasible(G, k, kind):
         return None
+    universe, labels = (G.m, k) if kind is WitnessKind.SUBGRAPH else (G.n, k + 1)
+    if universe > _FAMILY_MAX_UNIVERSE or labels > _FAMILY_MAX_LABELS:
+        return random_coloring_driver(G, k, kind, _FALLBACK_DELTA, _FALLBACK_SEED)
     dp = _dp_for(kind)
-    if kind is WitnessKind.SUBGRAPH:
-        for sig in greedy_hash_family(G.m, k):
+    for sig in greedy_hash_family(universe, labels):
+        if kind is WitnessKind.SUBGRAPH:
             w = dp(G, EdgeColoring(k, sig), k)
-            if w is not None:
-                return w
-    else:
-        for sig in greedy_hash_family(G.n, k + 1):
+        else:
             w = dp(G, VertexColoring(k, (0,) + sig), k)
-            if w is not None:
-                return w
+        if w is not None:
+            return w
     return None
 
 

@@ -68,6 +68,18 @@ class RedBlueGraph:
             if key in seen:
                 raise ValueError(f"edge {i}: duplicate undirected edge {key}")
             seen.add(key)
+        self._index()
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: tuple) -> "RedBlueGraph":
+        """A graph from edges that already passed the checks of __post_init__."""
+        G = cls.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "edges", edges)
+        G._index()
+        return G
+
+    def _index(self) -> None:
         adj = [[] for _ in range(self.n + 1)]
         for i, (u, v, _) in enumerate(self.edges):
             adj[u].append((v, i))
@@ -182,8 +194,15 @@ def require_even_k(k: int) -> None:
         raise ValueError(f"k must be a positive even integer >= 2, got {k!r}")
 
 
+_COLOR_OF_LETTER = {c.value: c for c in EdgeColor}
+
+
 def parse_graph(text) -> RedBlueGraph:
-    """Parse the graph file format; raises GraphFormatError with a line number."""
+    """Parse the graph file format; raises GraphFormatError with a line number.
+
+    Each edge is checked once, here, in file order; the graph is then built
+    without repeating the checks.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n = m = None
@@ -191,10 +210,9 @@ def parse_graph(text) -> RedBlueGraph:
     seen = set()  # undirected edges as (min, max)
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if not header_seen:
             if parts[0] != "graph" or len(parts) != 3:
                 raise GraphFormatError("expected header 'graph <n> <m>'", lineno)
@@ -212,14 +230,14 @@ def parse_graph(text) -> RedBlueGraph:
             u, v = int(parts[1]), int(parts[2])
         except ValueError:
             raise GraphFormatError("non-integer edge endpoints", lineno) from None
-        if parts[3] not in ("R", "B"):
+        color = _COLOR_OF_LETTER.get(parts[3])
+        if color is None:
             raise GraphFormatError(f"unknown color letter {parts[3]!r}", lineno)
-        color = EdgeColor(parts[3])
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphFormatError(f"vertex out of range 1..{n}", lineno)
         if u == v:
             raise GraphFormatError("self-loop", lineno)
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise GraphFormatError(f"duplicate undirected edge {{{u},{v}}}", lineno)
         seen.add(key)
@@ -228,7 +246,7 @@ def parse_graph(text) -> RedBlueGraph:
         raise GraphFormatError("missing header 'graph <n> <m>'")
     if len(edges) != m:
         raise GraphFormatError(f"header declares m={m} but found {len(edges)} edge lines")
-    return RedBlueGraph(n, tuple(edges))
+    return RedBlueGraph._from_checked(n, tuple(edges))
 
 
 def serialize_graph(G: RedBlueGraph) -> str:

@@ -11,7 +11,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Optional
 
-from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind
+from .graphs import RedBlueGraph, Witness, WitnessKind, _edge_set_connected
 
 
 DEFAULT_BUDGET = 10**7
@@ -42,18 +42,7 @@ def _kind_ok(G: RedBlueGraph, idx: tuple, kind: WitnessKind) -> bool:
     if kind is WitnessKind.PATH:
         if any(d > 2 for d in deg.values()):
             return False
-    # connectivity over chosen edges
-    chosen = set(idx)
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y, j in G.adjacency[x]:
-            if j in chosen and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == verts
+    return _edge_set_connected(G, idx)
 
 
 class _Budget:

@@ -6,18 +6,23 @@ A family of p-subsets of [n] is reduced to a q-representative subfamily
 of p x p minors (the coordinates of the wedge of its columns), and a row basis
 of those vectors, kept greedily in insertion order, is the subfamily. Any
 k_cap columns are independent (Vandermonde), which is what the representation
-property needs. Size bound: C(k_cap, p).
+property needs. Size bound: C(k_cap, p). The wedge is built by exterior
+products, one column at a time, never by determinants (Fomin, Lokshtanov,
+Panolan, Saurabh, "Efficient computation of representative families",
+JACM 2016).
 
 The exact balanced path solver runs the families P[(u,v,r,b)] of vertex sets
 of u-v paths with r red and b blue edges, extending by one vertex per level
 and reducing with k_cap = k+1 after every level. Each kept set carries one
-realizing path so the decision is constructive.
+realizing path so the decision is constructive. One solve memoises the minor
+vector of each mask it reduces.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, require_even_k
 
@@ -66,55 +71,62 @@ def _colex_row_subsets(k_cap: int, p: int) -> list:
     return sorted(combinations(range(k_cap), p), key=lambda t: tuple(reversed(t)))
 
 
-def _det_mod(rows: List[List[int]], q: int) -> int:
-    """Determinant over GF(q) by elimination, pivoting on the lowest row index."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] % q:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = (-det) % q
-        inv = pow(a[col][col], -1, q)
-        det = det * a[col][col] % q
-        for r in range(col + 1, n):
-            f = a[r][col] * inv % q
-            if f:
-                for c in range(col, n):
-                    a[r][c] = (a[r][c] - f * a[col][c]) % q
-    return det % q
+@lru_cache(maxsize=None)
+def _wedge_level(k_cap: int, j: int) -> tuple:
+    """Laplace terms for the j-subsets R of rows range(k_cap), in colex order.
+
+    Per R: the pairs (i, t) over t in R with sign +1, then those with sign -1,
+    where i is the colex index of R - {t} among the (j-1)-subsets and the sign
+    is (-1)^#{s in R : s > t}. The wedge w ^ c then has coordinate
+    sum(sign * w[i] * c[t]) at R.
+    """
+    prev = {rows: i for i, rows in enumerate(_colex_row_subsets(k_cap, j - 1))}
+    level = []
+    for rows in _colex_row_subsets(k_cap, j):
+        terms = ([], [])
+        for pos, t in enumerate(rows):
+            terms[(j - 1 - pos) & 1].append((prev[rows[:pos] + rows[pos + 1:]], t))
+        level.append((tuple(terms[0]), tuple(terms[1])))
+    return tuple(level)
 
 
 def minor_vector(mask: int, k_cap: int, q: int) -> list:
-    """Vector of p x p minors of the moment-matrix columns selected by mask."""
+    """Vector of p x p minors of the moment-matrix columns selected by mask.
+
+    These are the coordinates of the wedge of the columns, over the p-subsets
+    of rows in colex order. The wedge grows by one column (vertex) at a time,
+    each step a Laplace expansion along the new column: O(C(k_cap, j) j)
+    multiplications for the j-th column.
+    """
     cols = [v for v in range(1, mask.bit_length() + 1) if mask >> v & 1]
-    p = len(cols)
-    # column vectors: (1, a, a^2, ..., a^{k_cap-1}) at a = vertex id
-    colvecs = []
-    for a in cols:
-        vec = [1]
+    if len(cols) > k_cap:
+        return []
+    vec = [1]
+    for j, a in enumerate(cols, start=1):
+        # column (1, a, a^2, ..., a^(k_cap-1)) at a = vertex id
+        col = [1]
         for _ in range(k_cap - 1):
-            vec.append(vec[-1] * a % q)
-        colvecs.append(vec)
-    out = []
-    for rows in _colex_row_subsets(k_cap, p):
-        sub = [[colvecs[c][r] for c in range(p)] for r in rows]
-        out.append(_det_mod(sub, q))
-    return out
+            col.append(col[-1] * a % q)
+        out = []
+        for plus, minus in _wedge_level(k_cap, j):
+            x = 0
+            for i, t in plus:
+                x += vec[i] * col[t]
+            for i, t in minus:
+                x -= vec[i] * col[t]
+            out.append(x % q)
+        vec = out
+    return vec
 
 
-def reduce_family(S: SetFamily, k_cap: int, cfg: RepConfig) -> SetFamily:
+def reduce_family(S: SetFamily, k_cap: int, cfg: RepConfig, *,
+                  wedges: Optional[dict] = None) -> SetFamily:
     """(k_cap - p)-representative subfamily of size <= C(k_cap, p).
 
     Keeps the sets whose minor vectors extend a growing row basis over
-    GF(field_prime), in insertion order.
+    GF(field_prime), in insertion order; once the basis has full rank no
+    later set can extend it. `wedges`, when given, memoises minor vectors by
+    mask; the caller keeps one dict per (k_cap, field_prime).
     """
     if S.p > k_cap:
         raise ValueError("p exceeds k_cap")
@@ -123,23 +135,28 @@ def reduce_family(S: SetFamily, k_cap: int, cfg: RepConfig) -> SetFamily:
         raise ValueError("field prime must exceed the ground size")
     if not S.sets:
         return S
+    if wedges is None:
+        wedges = {}
     dim = None
-    basis = []  # echelon rows: (pivot_index, row)
+    basis = []  # (pivot, row from the pivot on, scaled to 1 there), in insertion order
     kept = []
     for mask, wit in S.sets:
-        vec = minor_vector(mask, k_cap, q)
+        if len(basis) == dim:
+            break  # full rank: no later set is independent
+        vec = wedges.get(mask)
+        if vec is None:
+            vec = wedges[mask] = minor_vector(mask, k_cap, q)
         if dim is None:
             dim = len(vec)
         row = vec[:]
-        for piv, brow in basis:
-            f = row[piv] % q
+        for piv, tail in basis:
+            f = row[piv]
             if f:
-                inv = pow(brow[piv], -1, q)
-                g = f * inv % q
-                row = [(x - g * y) % q for x, y in zip(row, brow)]
-        piv = next((i for i, x in enumerate(row) if x % q), None)
+                row[piv:] = [(x - f * y) % q for x, y in zip(row[piv:], tail)]
+        piv = next((i for i, x in enumerate(row) if x), None)
         if piv is not None:
-            basis.append((piv, row))
+            inv = pow(row[piv], -1, q)
+            basis.append((piv, [x * inv % q for x in row[piv:]]))
             kept.append((mask, wit))
     return SetFamily(S.ground_size, S.p, tuple(kept))
 
@@ -171,6 +188,7 @@ def solve_ebp_repsets(
     k_cap = k + 1
 
     fam = {}  # (u, v, r, b) -> SetFamily
+    wedges = {}  # mask -> minor vector, for this k_cap and field
 
     def put(u, v, r, b, pairs):
         # dedupe masks, first witness wins, insertion order by construction
@@ -179,7 +197,7 @@ def solve_ebp_repsets(
             if mask not in seen:
                 seen[mask] = wit
         cand = SetFamily(G.n, r + b + 1, tuple((m, w) for m, w in seen.items()))
-        red = reduce_family(cand, k_cap, cfg)
+        red = reduce_family(cand, k_cap, cfg, wedges=wedges)
         if record is not None:
             record.append((u, v, r, b, cand, red))
         if red.sets:

@@ -2,7 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import colorcoding_reference as ref
 from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph, validate_witness
 from bcslab.oracle import all_witness_sets, oracle_solve
 from bcslab.colorcoding import (
@@ -98,6 +101,83 @@ def test_table_size_bound():
         assert stats["entries"] <= g.m * k * k * (1 << k)
 
 
+def _assert_colorful(g, w, k, sigma=None, tau=None):
+    assert validate_witness(g, w, k).valid
+    if sigma is not None:
+        assert len({sigma.labels[i] for i in w.edge_indices}) == k
+    else:
+        verts = {x for i in w.edge_indices for x in g.edges[i][:2]}
+        assert len({tau.labels[x] for x in verts}) == k + 1
+
+
+def _check_against_reference(g, k, sigma, tau):
+    """Bitset DPs against the dict DPs on one coloring; returns the three decisions."""
+    stats, ref_stats = {}, {}
+    w = colorful_bcs_dp(g, sigma, k, stats=stats)
+    assert (w is None) == (ref.colorful_bcs_dp(g, sigma, k, stats=ref_stats) is None)
+    assert stats == ref_stats
+    found = [w is not None]
+    if w is not None:
+        _assert_colorful(g, w, k, sigma=sigma)
+        assert colorful_bcs_dp(g, sigma, k) == w
+    w = colorful_bt_dp(g, tau, k)
+    assert (w is None) == (ref.colorful_bt_dp(g, tau, k) is None)
+    found.append(w is not None)
+    if w is not None:
+        _assert_colorful(g, w, k, tau=tau)
+        assert colorful_bt_dp(g, tau, k) == w
+    w = colorful_ebp_dp(g, tau, k)
+    assert w == ref.colorful_ebp_dp(g, tau, k)
+    found.append(w is not None)
+    if w is not None:
+        _assert_colorful(g, w, k, tau=tau)
+    return found
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(3, 9))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=16, unique=True))
+    colors = draw(st.lists(st.sampled_from([R, B]), min_size=len(chosen), max_size=len(chosen)))
+    g = RedBlueGraph(n, tuple((a, b, c) for (a, b), c in zip(chosen, colors)))
+    k = draw(st.sampled_from([2, 4, 6]))
+    sigma = draw(st.lists(st.integers(1, k), min_size=g.m, max_size=g.m))
+    tau = draw(st.lists(st.integers(1, k + 1), min_size=n, max_size=n))
+    return g, k, EdgeColoring(k, tuple(sigma)), VertexColoring(k, (0,) + tuple(tau))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+def test_bitset_dps_match_reference(case):
+    _check_against_reference(*case)
+
+
+def test_bitset_dps_match_reference_seeded():
+    rng = random.Random(11)
+    found = [0, 0, 0]
+    for _ in range(150):
+        g = random_redblue(rng.randrange(4, 10), rng.choice([0.4, 0.7]), rng.randrange(10**6))
+        for k in (2, 4, 6):
+            sigma = EdgeColoring(k, tuple(rng.randrange(1, k + 1) for _ in range(g.m)))
+            tau = VertexColoring(k, (0,) + tuple(rng.randrange(1, k + 2) for _ in range(g.n)))
+            for i, hit in enumerate(_check_against_reference(g, k, sigma, tau)):
+                found[i] += hit
+    assert min(found) >= 50  # every DP rebuilt many witnesses
+
+
+def test_label_cap():
+    g = path_graph([R, B])
+    with pytest.raises(ValueError, match="too large"):
+        colorful_bcs_dp(g, EdgeColoring(22, (1, 2)), 22)
+    for dp in (colorful_bt_dp, colorful_ebp_dp):
+        with pytest.raises(ValueError, match="too large"):
+            dp(g, VertexColoring(20, (0, 1, 2, 3)), 20)
+    # 20 labels is the widest cell
+    assert colorful_bcs_dp(g, EdgeColoring(20, (1, 2)), 20) is None
+    assert colorful_ebp_dp(g, VertexColoring(18, (0, 1, 2, 3)), 18) is None
+
+
 def test_greedy_family_identity_case():
     fam = greedy_hash_family(3, 3)
     assert len(fam) == 1 and sorted(fam[0]) == [1, 2, 3]
@@ -131,6 +211,67 @@ def test_family_driver_matches_oracle():
                 assert (got is None) == (exp is None), (seed, k, kind)
                 if got is not None:
                     assert validate_witness(g, got, k).valid
+
+
+def test_feasible_counts_colors_per_component():
+    from bcslab.colorcoding import _feasible
+
+    # two red edges in one component and two blue in another: no component
+    # carries both halves of a k = 4 witness
+    split = parse_graph("graph 6 4\ne 1 2 R\ne 2 3 R\ne 4 5 B\ne 5 6 B\n")
+    joined = parse_graph("graph 5 4\ne 1 2 R\ne 2 3 R\ne 3 4 B\ne 4 5 B\n")
+    for kind in WitnessKind:
+        assert not _feasible(split, 4, kind)
+        assert _feasible(joined, 4, kind)
+
+
+def _sized_graph(n, m, seed):
+    rng = random.Random(seed)
+    pairs = rng.sample([(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)], m)
+    return RedBlueGraph(n, tuple((a, b, rng.choice((R, B))) for a, b in pairs))
+
+
+@pytest.mark.parametrize("kind,k,n,m", [
+    (WitnessKind.SUBGRAPH, 4, 9, 21),
+    (WitnessKind.TREE, 6, 7, 9),
+    (WitnessKind.PATH, 6, 7, 9),
+])
+def test_family_driver_past_hash_family_scale(kind, k, n, m):
+    # greedy_hash_family covers at most 20 elements and 6 labels; past that
+    # the family driver runs the seeded Monte Carlo driver instead of raising
+    answers = set()
+    for seed in range(4):
+        g = _sized_graph(n, m, seed)
+        got = family_driver(g, k, kind)
+        exp = oracle_solve(g, k, kind)
+        assert (got is None) == (exp is None), seed
+        if got is not None:
+            assert validate_witness(g, got, k).valid
+        answers.add(got is None)
+    assert kind is WitnessKind.SUBGRAPH or answers == {True, False}
+
+
+# random_coloring_driver(random_redblue(7, 0.5, graph_seed), 4, kind, 0.1, seed),
+# as the dict-of-masks DPs returned it
+DRIVER_GOLDEN = {
+    ("subgraph", 11): [(0, 2, 3, 7), (0, 5, 6, 8), (0, 3, 4, 7)],
+    ("subgraph", 12): [(0, 1, 2, 6), (0, 3, 4, 10), (0, 3, 5, 7)],
+    ("subgraph", 13): [(0, 1, 2, 5), (0, 2, 6, 8), (0, 4, 6, 7)],
+    ("tree", 11): [(0, 3, 4, 9), (3, 4, 5, 6), (0, 3, 5, 6)],
+    ("tree", 12): [(0, 3, 5, 7), (5, 8, 9, 10), (0, 3, 9, 10)],
+    ("tree", 13): [(0, 3, 4, 6), (3, 4, 5, 6), (0, 3, 4, 6)],
+    ("path", 11): [(0, 4, 7, 9), (1, 2, 8, 9), (1, 3, 5, 6)],
+    ("path", 12): [(0, 3, 5, 7), (5, 8, 9, 10), (0, 4, 7, 10)],
+    ("path", 13): [(2, 4, 5, 8), (4, 6, 7, 9), (2, 5, 6, 8)],
+}
+
+
+@pytest.mark.parametrize("kind,graph_seed", list(DRIVER_GOLDEN))
+def test_mc_driver_golden_witnesses(kind, graph_seed):
+    g = random_redblue(7, 0.5, graph_seed)
+    got = [random_coloring_driver(g, 4, WitnessKind(kind), 0.1, seed).edge_indices
+           for seed in (1, 2, 3)]
+    assert got == DRIVER_GOLDEN[(kind, graph_seed)]
 
 
 def test_mc_driver_examples():

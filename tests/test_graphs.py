@@ -63,6 +63,41 @@ def test_reversed_duplicate_edge_reported_at_its_line():
     assert str(exc.value) == "line 6: duplicate undirected edge {4,3}"
 
 
+def test_parse_reports_first_error_in_file_order():
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph("graph 3 3\ne 1 2 R\ne 2 3 B\ne 2 1 B\ne 1 3 X\n")
+    assert str(exc.value) == "line 4: duplicate undirected edge {2,1}"
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph("graph 3 3\ne 1 2 R\ne 2 3 Q\ne 2 1 B\n")
+    assert str(exc.value) == "line 3: unknown color letter 'Q'"
+
+
+def test_parse_checks_each_edge_once(monkeypatch):
+    text = serialize_graph(random_redblue(9, 0.5, 3))
+    expected = parse_graph(text)
+
+    def checked_again(self):
+        raise AssertionError("parsed edges checked a second time")
+
+    monkeypatch.setattr(RedBlueGraph, "__post_init__", checked_again)
+    g = parse_graph(text)
+    assert g == expected and g.adjacency == expected.adjacency
+
+
+@pytest.mark.parametrize(
+    "edges,fragment",
+    [
+        (((1, 3, R),), "out of range"),
+        (((1, 1, R),), "self-loop"),
+        (((1, 2, "R"),), "EdgeColor"),
+        (((1, 2, R), (2, 1, B)), "duplicate"),
+    ],
+)
+def test_direct_construction_validates(edges, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        RedBlueGraph(2, edges)
+
+
 def test_roundtrip_generated():
     for seed in range(40):
         g = random_redblue(6, 0.5, seed)

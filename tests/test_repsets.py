@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import combinations
 from math import comb
 
@@ -8,6 +10,8 @@ from bcslab.oracle import oracle_solve
 from bcslab.repsets import (
     RepConfig,
     SetFamily,
+    _colex_row_subsets,
+    _smallest_prime_above,
     convolve_extend,
     default_config,
     minor_vector,
@@ -102,6 +106,73 @@ def test_minor_vector_independence():
     q = 11
     vecs = [tuple(minor_vector(_mask(v), 3, q)) for v in range(1, 8)]
     assert len(set(vecs)) == len(vecs)
+
+
+def _det_mod(rows, q):
+    """Determinant over GF(q) by elimination, pivoting on the lowest row index."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    det = 1
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if a[r][col] % q:
+                piv = r
+                break
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = (-det) % q
+        inv = pow(a[col][col], -1, q)
+        det = det * a[col][col] % q
+        for r in range(col + 1, n):
+            f = a[r][col] * inv % q
+            if f:
+                for c in range(col, n):
+                    a[r][c] = (a[r][c] - f * a[col][c]) % q
+    return det % q
+
+
+def _minor_vector_by_determinants(mask, k_cap, q):
+    cols = [v for v in range(1, mask.bit_length() + 1) if mask >> v & 1]
+    colvecs = [[pow(a, r, q) for r in range(k_cap)] for a in cols]
+    return [_det_mod([[colvecs[c][r] for c in range(len(cols))] for r in rows], q)
+            for rows in _colex_row_subsets(k_cap, len(cols))]
+
+
+@pytest.mark.parametrize("k_cap", [3, 5, 7, 9])
+def test_minor_vector_matches_determinants(k_cap):
+    rng = random.Random(k_cap)
+    for _ in range(150):
+        n = rng.randrange(1, 30)
+        q = _smallest_prime_above(n)
+        verts = rng.sample(range(1, n + 1), min(n, rng.randrange(k_cap + 2)))
+        mask = sum(1 << v for v in verts) | rng.randrange(2)  # bit 0 is no vertex
+        assert minor_vector(mask, k_cap, q) == _minor_vector_by_determinants(mask, k_cap, q)
+
+
+def _repsets_corpus():
+    rng = random.Random(2024)
+    for _ in range(40):
+        yield random_redblue(rng.randrange(6, 12), rng.choice([0.3, 0.45, 0.6]),
+                             rng.randrange(10**6))
+
+
+def test_solver_golden():
+    # witnesses and every reduced family on a seeded corpus, as the
+    # determinant-per-minor reduction produced them
+    h = hashlib.sha256()
+    yes = 0
+    for g in _repsets_corpus():
+        for k in (2, 4, 6):
+            rec = []
+            w = solve_ebp_repsets(g, k, record=rec)
+            yes += w is not None
+            h.update(repr((w and w.edge_indices,
+                           [(u, v, r, b, red.sets) for u, v, r, b, _, red in rec])).encode())
+    assert yes == 106
+    assert h.hexdigest() == "83f26f4dc0799bca0893c8e00557e4c51f22c0debf2bb077f585b98c1dbfd294"
 
 
 def test_reduce_errors():
