@@ -51,16 +51,20 @@ class Circuit:
             raise ValueError("output gate out of range")
 
     def degrees(self) -> list:
+        """Structural degree of every gate; tags and constants have degree 0.
+
+        Runs on every sieve decision, so the common gates are tested first.
+        """
         deg = []
         for g in self.gates:
-            if g[0] == "in":
-                deg.append(0 if g[1][0] == "t" else 1)
-            elif g[0] in ("c0", "c1"):
-                deg.append(0)
-            elif g[0] == "add":
-                deg.append(max(deg[g[1]], deg[g[2]]))
-            else:
+            op = g[0]
+            if op == "mul":
                 deg.append(deg[g[1]] + deg[g[2]])
+            elif op == "add":
+                a, b = deg[g[1]], deg[g[2]]
+                deg.append(a if a >= b else b)
+            else:
+                deg.append(1 if op == "in" and g[1][0] != "t" else 0)
         return deg
 
 

@@ -1,18 +1,12 @@
-"""GF(2^l) arithmetic, scalar and vectorized.
+"""GF(2^l) arithmetic for l in {16, 32, 64}, scalar and vectorized.
 
-Two representations coexist:
-
-* GF2e: scalar arithmetic with the fixed reduction polynomials
-  x^16+x^5+x^3+x+1, x^32+x^7+x^3+x^2+1, x^64+x^4+x^3+x+1 (all verified
-  irreducible by the test suite). Used by the group-algebra types.
-
-* VecGF: numpy kernels over a tower GF(2^16) -> GF(2^32) -> GF(2^64) built
-  from y^2+y+C and z^2+z+C*y with C = 0x800 (trace 1, so both quadratics are
-  irreducible). An element is l/16 limbs in GF(2^16), limb p holding bits
-  16p..16p+15 of the packed integer; the basis is 1, y (l = 32) and
-  1, y, z, yz (l = 64). Vectors are stored limb-planar: an array of shape
-  (l/16, ...) of uint16, one contiguous plane per limb. Isomorphic to the
-  fields above, not bit-compatible for l in {32, 64}; identical for l = 16.
+One field per width: the tower GF(2^16) -> GF(2^32) -> GF(2^64) built from
+y^2+y+C and z^2+z+C*y with C = 0x800 (trace 1, so both quadratics are
+irreducible). GF(2^16) itself is the polynomial basis modulo
+x^16+x^5+x^3+x+1. An element is l/16 limbs in GF(2^16), limb p holding bits
+16p..16p+15 of the packed integer; the basis is 1, y (l = 32) and
+1, y, z, yz (l = 64). Vectors are stored limb-planar: an array of shape
+(l/16, ...) of uint16, one contiguous plane per limb.
 
 The tower multiply, unrolled down to GF(2^16), is a fixed set of Karatsuba
 leaves (XORs of limbs: 1, 3 and 9 of them at l = 16, 32, 64), a fixed set of
@@ -31,54 +25,23 @@ from __future__ import annotations
 
 import numpy as np
 
-POLY = {
-    16: (1 << 16) | (1 << 5) | (1 << 3) | (1 << 1) | 1,
-    32: (1 << 32) | (1 << 7) | (1 << 3) | (1 << 2) | 1,
-    64: (1 << 64) | (1 << 4) | (1 << 3) | (1 << 1) | 1,
-}
+POLY = {16: (1 << 16) | (1 << 5) | (1 << 3) | (1 << 1) | 1}
 
 _GEN16 = 3
 TOWER_C = 0x800  # trace-1 constant for both quadratic extensions
 
 
-class GF2e:
-    """Scalar GF(2^l) with the fixed reduction polynomial; values are ints."""
-
-    def __init__(self, ell: int):
-        if ell not in POLY:
-            raise ValueError("l must be one of 16, 32, 64")
-        self.ell = ell
-        self.poly = POLY[ell]
-        self.mask = (1 << ell) - 1
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        r = 0
-        top = 1 << self.ell
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= self.poly
-        return r
-
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return self.pow(a, (1 << self.ell) - 2)
+def _mul16(a: int, b: int) -> int:
+    """GF(2^16) product of two ints in the polynomial basis."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> 16:
+            a ^= POLY[16]
+    return r
 
 
 def _clmul16v(a, b):
@@ -97,14 +60,13 @@ def _build_tables16():
     3^0..3^255 come from scalar steps; 3^(256q + r) = 3^r * (3^256)^q fills the
     rest in one vectorized product.
     """
-    f = GF2e(16)
     low = [1]
     for _ in range(255):
-        low.append(f.mul(low[-1], _GEN16))
-    step = f.mul(low[-1], _GEN16)  # 3^256
+        low.append(_mul16(low[-1], _GEN16))
+    step = _mul16(low[-1], _GEN16)  # 3^256
     high = [1]
     for _ in range(255):
-        high.append(f.mul(high[-1], step))
+        high.append(_mul16(high[-1], step))
     exp = _clmul16v(np.array(high, dtype=np.uint32)[:, None],
                     np.array(low, dtype=np.uint32)[None, :]).ravel()[:65535]
     log = np.zeros(65536, dtype=np.int32)
@@ -188,7 +150,7 @@ class VecGF:
         x[(slice(0, 2),) * self._levels] = a.reshape((2,) * self._levels + a.shape[1:])
         for x0, x1, x01 in self._xor_steps:
             np.bitwise_xor(x[x0], x[x1], out=x[x01])
-        return x.reshape((-1,) + a.shape[1:])
+        return x.reshape((3 ** self._levels,) + a.shape[1:])
 
     def mul(self, a, b):
         """Product of limb planes a and b."""
@@ -222,60 +184,3 @@ class VecGF:
         else:
             cm2 = sub.mul_scalar(m2, TOWER_C << 16)  # D = C*y in GF(2^32)
         return (m0 ^ cm2) | ((m1 ^ m0) << half)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized multiplication in the reference polynomial representation, used
-# by the dense group-algebra backends, on packed uint64 arrays. l=16 shares
-# the tower tables (same field).
-# ---------------------------------------------------------------------------
-
-_M32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-
-
-def refmul16v(a, b):
-    return _EXP[_LOG[a] + _LOG[b]].astype(np.uint64)
-
-
-def refmul32v(a, b):
-    acc = np.zeros_like(a)
-    one = np.uint64(1)
-    for i in range(32):
-        bit = (b >> np.uint64(i)) & one
-        m = np.uint64(0) - bit
-        acc ^= (a << np.uint64(i)) & m
-    hi = acc >> _S32
-    v = hi ^ (hi << np.uint64(2)) ^ (hi << np.uint64(3)) ^ (hi << np.uint64(7))
-    lo = (acc & _M32) ^ (v & _M32)
-    c = v >> _S32
-    lo ^= c ^ (c << np.uint64(2)) ^ (c << np.uint64(3)) ^ (c << np.uint64(7))
-    return lo & _M32
-
-
-def refmul64v(a, b):
-    lo = np.zeros_like(a)
-    hi = np.zeros_like(a)
-    one = np.uint64(1)
-    for i in range(64):
-        bit = (b >> np.uint64(i)) & one
-        m = np.uint64(0) - bit
-        if i == 0:
-            lo ^= a & m
-        else:
-            lo ^= (a << np.uint64(i)) & m
-            hi ^= (a >> np.uint64(64 - i)) & m
-    # fold hi: x^64 = x^4 + x^3 + x + 1
-    for _ in range(2):
-        t = hi
-        hi = (t >> np.uint64(60)) ^ (t >> np.uint64(61)) ^ (t >> np.uint64(63))
-        lo ^= t ^ (t << one) ^ (t << np.uint64(3)) ^ (t << np.uint64(4))
-    return lo
-
-
-def refmulv(ell: int, a, b):
-    if ell == 16:
-        return refmul16v(a, b)
-    if ell == 32:
-        return refmul32v(a, b)
-    return refmul64v(a, b)

@@ -1,12 +1,18 @@
 """Dense group-algebra elements over GF(2^l) indexed by Z2^k bit-vectors.
 
+Coefficients are packed integers of the tower field VecGF(l), the field the
+sieve evaluates in, so these products check the sieve value for value.
+Each product runs as a handful of vectorized VecGF multiplies.
+
 Two bases for the same ring:
 
 * GroupBasis: coefficients on group elements; multiplication is XOR
-  convolution, (ab)_w = sum_{u^v=w} a_u b_v.
+  convolution, (ab)_w = sum_{u^v=w} a_u b_v, as one multiply over all pairs
+  of nonzero coefficients.
 * NilpotentBasis: coefficients on square-free monomials in u_1..u_k with
   u_j^2 = 0; multiplication is disjoint-union (subset) convolution, computed
-  through ranked zeta/Moebius transforms in 2^k k^2 field operations.
+  through ranked zeta/Moebius transforms in 2^k k^2 field operations, one
+  multiply per output rank.
 
 change_basis is the ring isomorphism sending the group element with support V
 to prod_{j in V}(1 + u_j); concretely a superset-zeta transform, which is an
@@ -19,7 +25,10 @@ from enum import Enum
 
 import numpy as np
 
-from .field import GF2e, refmulv
+from .field import VecGF
+
+
+_FIELDS = {ell: VecGF(ell) for ell in (16, 32, 64)}
 
 
 class Basis(Enum):
@@ -42,6 +51,11 @@ class GroupAlgebraElement:
     def __post_init__(self):
         if len(self.coeffs) != 1 << self.k_dim:
             raise ValueError("coefficient vector must have length 2^k_dim")
+        if self.ell not in _FIELDS:
+            raise ValueError("l must be one of 16, 32, 64")
+        top = 1 << self.ell
+        if not all(0 <= c < top for c in self.coeffs):
+            raise ValueError("coefficients must be integers in [0, 2^l)")
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -51,13 +65,6 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(
             self.k_dim, self.ell, self.basis,
             tuple(a ^ b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def scale(self, lam: int) -> "GroupAlgebraElement":
-        f = GF2e(self.ell)
-        return GroupAlgebraElement(
-            self.k_dim, self.ell, self.basis,
-            tuple(f.mul(c, lam) for c in self.coeffs),
         )
 
 
@@ -90,60 +97,42 @@ def one_plus_v(k_dim: int, ell: int, v: int, lam: int = 1) -> GroupAlgebraElemen
     return GroupAlgebraElement(k_dim, ell, Basis.GROUP, tuple(c))
 
 
-_SPARSE_CUTOFF = 4096
-
-
 def _xor_convolution(a: GroupAlgebraElement, b: GroupAlgebraElement) -> tuple:
-    n = 1 << a.k_dim
-    nza = [(u, c) for u, c in enumerate(a.coeffs) if c]
-    nzb = [(v, c) for v, c in enumerate(b.coeffs) if c]
-    if len(nza) * len(nzb) <= _SPARSE_CUTOFF:
-        f = GF2e(a.ell)
-        out = [0] * n
-        for u, cu in nza:
-            for v, cv in nzb:
-                out[u ^ v] ^= f.mul(cu, cv)
-        return tuple(out)
+    f = _FIELDS[a.ell]
     av = np.array(a.coeffs, dtype=np.uint64)
     bv = np.array(b.coeffs, dtype=np.uint64)
-    idx = np.arange(n, dtype=np.uint64)[:, None] ^ np.arange(n, dtype=np.uint64)[None, :]
-    prod = refmulv(a.ell, av[:, None], bv[idx])
-    out = np.bitwise_xor.reduce(prod, axis=0)
+    u, v = np.flatnonzero(av), np.flatnonzero(bv)
+    # every product of nonzero coefficients, XORed into coefficient u ^ v
+    prod = f.mul(f.to_planes(av[u, None]), f.to_planes(bv[None, v]))
+    out = np.zeros(len(av), dtype=np.uint64)
+    np.bitwise_xor.at(out, u[:, None] ^ v[None, :], f.from_planes(prod))
     return tuple(int(x) for x in out)
 
 
 def _zeta_inplace(arr: np.ndarray, k: int):
-    """Subset-sum transform over XOR scalars; self-inverse in char 2."""
+    """Subset-sum transform over XOR scalars on the last axis; self-inverse in char 2."""
     for j in range(k):
-        step = 1 << j
-        for base in range(0, arr.shape[-1], step << 1):
-            arr[..., base + step : base + 2 * step] ^= arr[..., base : base + step]
+        halves = arr.reshape(arr.shape[:-1] + (-1, 2, 1 << j))
+        halves[..., 1, :] ^= halves[..., 0, :]
 
 
 def _subset_convolution(a: GroupAlgebraElement, b: GroupAlgebraElement) -> tuple:
     k = a.k_dim
     n = 1 << k
-    pc = np.array([bin(m).count("1") for m in range(n)])
-    av = np.array(a.coeffs, dtype=np.uint64)
-    bv = np.array(b.coeffs, dtype=np.uint64)
-    za = np.zeros((k + 1, n), dtype=np.uint64)
-    zb = np.zeros((k + 1, n), dtype=np.uint64)
-    for r in range(k + 1):
-        sel = pc == r
-        za[r, sel] = av[sel]
-        zb[r, sel] = bv[sel]
+    f = _FIELDS[a.ell]
+    rank = np.array([bin(m).count("1") for m in range(n)])
+    by_rank = rank == np.arange(k + 1)[:, None]  # (k + 1, n)
+    za = np.where(by_rank, np.array(a.coeffs, dtype=np.uint64), np.uint64(0))
+    zb = np.where(by_rank, np.array(b.coeffs, dtype=np.uint64), np.uint64(0))
     _zeta_inplace(za, k)
     _zeta_inplace(zb, k)
-    zc = np.zeros((k + 1, n), dtype=np.uint64)
-    for r in range(k + 1):
-        for i in range(r + 1):
-            zc[r] ^= refmulv(a.ell, za[i], zb[r - i])
-    _zeta_inplace(zc, k)  # Moebius: same transform in char 2
-    out = np.zeros(n, dtype=np.uint64)
-    for r in range(k + 1):
-        sel = pc == r
-        out[sel] = zc[r, sel]
-    return tuple(int(x) for x in out)
+    pa, pb = f.to_planes(za), f.to_planes(zb)
+    zc = np.empty_like(pa)
+    for r in range(k + 1):  # rank r of the product: sum over i of za[i] * zb[r - i]
+        zc[:, r] = np.bitwise_xor.reduce(f.mul(pa[:, : r + 1], pb[:, r::-1]), axis=1)
+    out = f.from_planes(zc)
+    _zeta_inplace(out, k)  # Moebius: same transform in char 2
+    return tuple(int(x) for x in out[rank, np.arange(n)])
 
 
 def ga_multiply(
@@ -167,8 +156,7 @@ def change_basis(a: GroupAlgebraElement) -> GroupAlgebraElement:
     k = a.k_dim
     arr = np.array(a.coeffs, dtype=np.uint64)
     for j in range(k):
-        step = 1 << j
-        for base in range(0, 1 << k, step << 1):
-            arr[base : base + step] ^= arr[base + step : base + 2 * step]
+        halves = arr.reshape(-1, 2, 1 << j)
+        halves[:, 0] ^= halves[:, 1]
     other = Basis.NILPOTENT if a.basis is Basis.GROUP else Basis.GROUP
     return GroupAlgebraElement(k, a.ell, other, tuple(int(x) for x in arr))

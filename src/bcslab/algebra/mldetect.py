@@ -26,7 +26,7 @@ import numpy as np
 
 from ..graphs import RedBlueGraph, Witness, WitnessKind, require_even_k, validate_witness
 from .circuits import Circuit, build_circuit_ebcs, build_circuit_ebt, build_circuit_ebp
-from .field import GF2e, VecGF
+from .field import VecGF
 from .group_algebra import Backend, Basis, GroupAlgebraElement, ga_multiply
 
 _TAG_ELL = 16  # tags live in the GF(2^16) subfield; cheap limb-wise products
@@ -73,18 +73,10 @@ def _index_vars(c: Circuit):
 
 def _is_homogeneous(c: Circuit) -> Optional[int]:
     """Output degree if every add combines equal degrees, else None."""
-    deg = []
+    deg = c.degrees()
     for g in c.gates:
-        if g[0] == "in":
-            deg.append(0 if g[1][0] == "t" else 1)
-        elif g[0] in ("c0", "c1"):
-            deg.append(0)
-        elif g[0] == "add":
-            if deg[g[1]] != deg[g[2]]:
-                return None
-            deg.append(deg[g[1]])
-        else:
-            deg.append(deg[g[1]] + deg[g[2]])
+        if g[0] == "add" and deg[g[1]] != deg[g[2]]:
+            return None
     return deg[c.output]
 
 
@@ -154,58 +146,35 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
 
 
 def _eval_exact(c: Circuit, sub: Substitution) -> np.ndarray:
-    """Per-trial nonzero flags via exact ranked subset convolution (slow path)."""
+    """(B, 2^K) output coefficients in the nilpotent basis, one exact ranked
+    subset convolution per gate and trial (reference and fallback path)."""
     K = sub.k_dim
     B = sub.vectors.shape[0]
     varmap, _ = _index_vars(c)
-    flags = np.zeros(B, dtype=np.uint64)
+
+    def elem(coeffs: dict) -> GroupAlgebraElement:
+        full = [0] * (1 << K)
+        for mask, x in coeffs.items():
+            full[mask] = int(x)
+        return GroupAlgebraElement(K, sub.ell, Basis.NILPOTENT, tuple(full))
+
+    out = np.zeros((B, 1 << K), dtype=np.uint64)
     for t in range(B):
         vals: list = []
         for g in c.gates:
-            if g[0] == "in":
-                if g[1][0] == "t":
-                    lam = int(sub.tags[t, g[1][1]])
-                    vals.append(("s", lam))
-                else:
-                    i = varmap[g[1]]
-                    coeffs = [0] * (1 << K)
-                    for j in range(K):
-                        coeffs[1 << j] = int(sub.vectors[t, i, j])
-                    vals.append(("e", GroupAlgebraElement(K, sub.ell, Basis.NILPOTENT, tuple(coeffs))))
-            elif g[0] == "c0":
-                vals.append(("s", 0))
-            elif g[0] == "c1":
-                vals.append(("s", 1))
+            if g[0] == "in" and g[1][0] == "t":
+                v = elem({0: sub.tags[t, g[1][1]]})  # tags and constants have rank 0
+            elif g[0] == "in":
+                v = elem({1 << j: x for j, x in enumerate(sub.vectors[t, varmap[g[1]]])})
+            elif g[0] in ("c0", "c1"):
+                v = elem({0: g[0] == "c1"})
             elif g[0] == "add":
-                a, b = vals[g[1]], vals[g[2]]
-                if a[0] == "s" and b[0] == "s":
-                    vals.append(("s", a[1] ^ b[1]))
-                else:
-                    ea = _as_elem(a, K, sub.ell)
-                    eb = _as_elem(b, K, sub.ell)
-                    vals.append(("e", ea.add(eb)))
+                v = vals[g[1]].add(vals[g[2]])
             else:
-                a, b = vals[g[1]], vals[g[2]]
-                if a[0] == "s" and b[0] == "s":
-                    vals.append(("s", GF2e(sub.ell).mul(a[1], b[1])))
-                elif a[0] == "s":
-                    vals.append(("e", b[1].scale(a[1])))
-                elif b[0] == "s":
-                    vals.append(("e", a[1].scale(b[1])))
-                else:
-                    vals.append(("e", ga_multiply(a[1], b[1], Backend.SUBSET_CONVOLUTION)))
-        out = vals[c.output]
-        nz = (out[1] != 0) if out[0] == "s" else not out[1].is_zero()
-        flags[t] = 1 if nz else 0
-    return flags
-
-
-def _as_elem(v, K, ell):
-    if v[0] == "e":
-        return v[1]
-    coeffs = [0] * (1 << K)
-    coeffs[0] = v[1]
-    return GroupAlgebraElement(K, ell, Basis.NILPOTENT, tuple(coeffs))
+                v = ga_multiply(vals[g[1]], vals[g[2]], Backend.SUBSET_CONVOLUTION)
+            vals.append(v)
+        out[t] = vals[c.output].coeffs
+    return out
 
 
 def run_trials(c: Circuit, k_dim: int, ell: int, trials: int, seed: int,
@@ -218,7 +187,7 @@ def run_trials(c: Circuit, k_dim: int, ell: int, trials: int, seed: int,
     hom = _is_homogeneous(c)
     if hom is not None and hom == k_dim:
         return _eval_fast(c, sub) != 0
-    return _eval_exact(c, sub) != 0
+    return _eval_exact(c, sub).any(axis=1)
 
 
 def detect_multilinear(c: Circuit, k_dim: int, ell: int, trials: int, seed: int) -> bool:

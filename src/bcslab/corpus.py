@@ -14,7 +14,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .graphs import EdgeColor, RedBlueGraph
+from .graphs import EdgeColor, RedBlueGraph, induced_connected
 
 
 @lru_cache(maxsize=None)
@@ -109,18 +109,6 @@ def connected_graph_classes(max_n: int) -> tuple:
     out = []
     for n in range(1, max_n + 1):
         for edges in nonisomorphic_graphs(n):
-            adj = {v: [] for v in range(1, n + 1)}
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            seen = {1}
-            stack = [1]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) == n:
+            if induced_connected(range(1, n + 1), edges):
                 out.append((n, edges))
     return tuple(out)

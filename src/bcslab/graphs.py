@@ -176,7 +176,10 @@ class Witness:
         d = json.loads(text)
         if not isinstance(d, dict) or "kind" not in d or not isinstance(d.get("edges"), list):
             raise ValueError('witness JSON must be an object with "kind" and an "edges" list')
-        return Witness(WitnessKind(d["kind"]), tuple(d["edges"]))
+        edges = d["edges"]
+        if not all(type(i) is int for i in edges):
+            raise ValueError('witness "edges" must hold integer edge indices only')
+        return Witness(WitnessKind(d["kind"]), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -256,29 +259,45 @@ def serialize_graph(G: RedBlueGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spans(adj: dict) -> bool:
+    """Whether a graph given as adjacency lists, one key per vertex, is connected
+    (the empty graph counts as connected)."""
+    if not adj:
+        return True
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(adj)
+
+
+def induced_connected(vertices, edges) -> bool:
+    """Whether the subgraph induced on `vertices` by the (u, v) pairs `edges` is
+    connected; pairs with an endpoint outside `vertices` are ignored."""
+    adj = {v: [] for v in vertices}
+    for u, v in edges:
+        if u in adj and v in adj:
+            adj[u].append(v)
+            adj[v].append(u)
+    return _spans(adj)
+
+
 def _edge_set_connected(G: RedBlueGraph, edge_indices) -> bool:
     """Connectivity of the edge-induced subgraph (no edges counts as not connected).
 
     Walks an incidence map of the chosen edges only, so the cost is linear in
     the edge set whatever the host degrees.
     """
-    idx = list(edge_indices)
-    if not idx:
-        return False
     inc = {}
-    for i in idx:
+    for i in edge_indices:
         u, v, _ = G.edges[i]
         inc.setdefault(u, []).append(v)
         inc.setdefault(v, []).append(u)
-    start = G.edges[idx[0]][0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in inc[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(inc)
+    return bool(inc) and _spans(inc)
 
 
 def validate_witness(G: RedBlueGraph, w: Witness, k: int) -> ValidationReport:

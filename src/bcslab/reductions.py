@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Tuple
 
-from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind
+from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, induced_connected
 
 
 @dataclass(frozen=True)
@@ -24,26 +24,6 @@ class GeneratedInstance:
     kind: WitnessKind
     intended: Optional[Witness]
     info: dict
-
-
-def _connected(n, edges, verts) -> bool:
-    adj = {v: [] for v in verts}
-    for u, v in edges:
-        if u in adj and v in adj:
-            adj[u].append(v)
-            adj[v].append(u)
-    verts = list(verts)
-    if not verts:
-        return True
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
 
 
 def steiner_min_edges(n: int, edges: list, terminals: set) -> Optional[int]:
@@ -60,8 +40,7 @@ def steiner_min_edges(n: int, edges: list, terminals: set) -> Optional[int]:
             break
         for add in combinations(others, extra):
             W = terminals | set(add)
-            ewithin = [(u, v) for u, v in edges if u in W and v in W]
-            if _connected(n, ewithin, W):
+            if induced_connected(W, edges):
                 best = len(W) - 1
                 break
     return best
@@ -72,7 +51,7 @@ def steiner_to_ebcs(n: int, edges: list, terminals: list, k: int) -> GeneratedIn
     T = list(dict.fromkeys(terminals))
     if not (1 <= len(T) <= k <= len(edges)):
         raise ValueError("need |T| <= k <= |E(G)|")
-    if not _connected(n, edges, set(range(1, n + 1))):
+    if not induced_connected(range(1, n + 1), edges):
         raise ValueError("source graph must be connected")
     hedges = [(u, v, EdgeColor.BLUE) for u, v in edges]
     nn = n
@@ -95,8 +74,7 @@ def steiner_to_ebcs(n: int, edges: list, terminals: list, k: int) -> GeneratedIn
                 break
             for add in combinations(others, extra):
                 cand = set(T) | set(add)
-                ew = [(u, v) for u, v in edges if u in cand and v in cand]
-                if len(cand) - 1 <= k and _connected(n, ew, cand):
+                if len(cand) - 1 <= k and induced_connected(cand, edges):
                     W = cand
                     break
         # spanning tree of G[W], then greedy padding with adjacent edges
@@ -161,15 +139,17 @@ def longest_path_split_to_ebp(
     clique, independent = set(clique), set(independent)
     if clique | independent != set(range(1, n + 1)) or clique & independent:
         raise ValueError("clique/independent must partition the vertices")
-    eset = {(min(u, v), max(u, v)) for u, v in edges}
-    for u in clique:
-        for v in clique:
-            if u < v and (u, v) not in eset:
-                raise ValueError("clique part is not a clique")
-    for u in independent:
-        for v in independent:
-            if u < v and (u, v) in eset:
-                raise ValueError("independent part is not independent")
+    # one pass over the edges: count distinct clique pairs, catch independent pairs
+    inside, independent_edge = set(), False
+    for u, v in edges:
+        if u != v and u in clique and v in clique:
+            inside.add((min(u, v), max(u, v)))
+        elif u != v and u in independent and v in independent:
+            independent_edge = True
+    if len(inside) != len(clique) * (len(clique) - 1) // 2:
+        raise ValueError("clique part is not a clique")
+    if independent_edge:
+        raise ValueError("independent part is not independent")
     if u0 not in clique:
         raise ValueError("u0 must lie in the clique part")
     if k < 1:

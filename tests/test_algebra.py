@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from bcslab.algebra.field import _EXP16_LIST, _LOG16_LIST, GF2e, POLY, TOWER_C, VecGF, refmulv
+from bcslab.algebra.field import _EXP16_LIST, _LOG16_LIST, POLY, TOWER_C, VecGF
 from bcslab.algebra.group_algebra import (
     Backend,
     Basis,
@@ -63,30 +63,26 @@ def test_reduction_polynomials_irreducible():
         assert _gf2_irreducible(poly, ell), ell
 
 
-@pytest.mark.parametrize("ell", [16, 32, 64])
-def test_field_axioms(ell):
-    f = GF2e(ell)
-    rng = random.Random(ell)
-    M = (1 << ell) - 1
-    for _ in range(60):
-        a, b, c = (rng.randrange(1, M) for _ in range(3))
-        assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
-        assert f.mul(a, 1) == a
-        assert f.mul(a, f.inv(a)) == 1
+def _gf16_mul(a, b):
+    """Scalar GF(2^16) product in the polynomial basis, independent of the package tables."""
+    r = 0
+    for i in range(16):
+        if b >> i & 1:
+            r ^= a << i
+    for i in range(30, 15, -1):
+        if r >> i & 1:
+            r ^= POLY[16] << (i - 16)
+    return r
 
 
-@pytest.mark.parametrize("ell", [16, 32, 64])
-def test_vectorized_reference_mult_matches_scalar(ell):
-    f = GF2e(ell)
-    rng = random.Random(100 + ell)
-    M = (1 << ell) - 1
-    a = np.array([rng.randrange(0, M + 1) for _ in range(256)], dtype=np.uint64)
-    b = np.array([rng.randrange(0, M + 1) for _ in range(256)], dtype=np.uint64)
-    c = refmulv(ell, a, b)
-    for i in range(256):
-        assert int(c[i]) == f.mul(int(a[i]), int(b[i]))
+def _pow(mul, a, e):
+    r = 1
+    while e:
+        if e & 1:
+            r = mul(r, a)
+        a = mul(a, a)
+        e >>= 1
+    return r
 
 
 def _planar_mul(vf, a, b):
@@ -152,28 +148,65 @@ def test_tower_kernel_edge_cases(ell):
     assert vf.from_planes(vf.mul_scalar16(vecp, vf.to_planes(tags))).tolist() == want
 
 
+def _trace(vf, x):
+    """Absolute trace x + x^2 + x^4 + ... + x^(2^(l-1)) in the field of vf."""
+    t = 0
+    for _ in range(vf.ell):
+        t ^= x
+        x = vf.mul_scalar(x, x)
+    return t
+
+
+def test_tower_is_a_field():
+    # x^2 + x + a has a root in GF(2^m) iff the absolute trace of a is 0, so
+    # trace 1 makes y^2 + y + C irreducible over GF(2^16) and z^2 + z + C y
+    # irreducible over GF(2^32)
+    assert _trace(VecGF(16), TOWER_C) == 1
+    assert _trace(VecGF(32), TOWER_C << 16) == 1
+    # the first directly: no x in GF(2^16) satisfies x^2 + x = C
+    vf = VecGF(16)
+    x = vf.to_planes(np.arange(1 << 16, dtype=np.uint64))
+    assert not np.any(vf.from_planes(vf.mul(x, x) ^ x) == TOWER_C)
+    # and every sampled nonzero x has the inverse x^(2^l - 2)
+    rng = random.Random(17)
+    for ell in (16, 32, 64):
+        vf = VecGF(ell)
+        for x in [1, (1 << ell) - 1] + [rng.randrange(1, 1 << ell) for _ in range(5)]:
+            assert vf.mul_scalar(x, _pow(vf.mul_scalar, x, (1 << ell) - 2)) == 1, (ell, x)
+
+
+@pytest.mark.parametrize("ell", [16, 32, 64])
+def test_tower_mul_accepts_empty_operands(ell):
+    vf = VecGF(ell)
+    P = ell // 16
+    a = np.zeros((P, 0, 1), dtype=np.uint16)
+    b = np.ones((P, 1, 3), dtype=np.uint16)
+    assert vf.mul(a, b).shape == (P, 0, 3)
+    assert vf.mul(b, a).shape == (P, 0, 3)
+    assert vf.mul(a, a).shape == (P, 0, 1)
+    assert vf.from_planes(vf.mul(a, b)).shape == (0, 3)
+
+
 def test_gf16_tables_are_exp_and_log_of_generator_3():
     assert sorted(_EXP16_LIST) == list(range(1, 1 << 16))
     assert all(_LOG16_LIST[e] == i for i, e in enumerate(_EXP16_LIST))
-    f = GF2e(16)
     rng = random.Random(3)
     for i in [0, 1, 255, 256, 257, 65534] + [rng.randrange(65535) for _ in range(200)]:
-        assert _EXP16_LIST[i] == f.pow(3, i)
+        assert _EXP16_LIST[i] == _pow(_gf16_mul, 3, i)
 
 
 def test_tower_l16_matches_reference_field():
-    # single-limb tower representation coincides with the reference GF(2^16)
-    f = GF2e(16)
+    # single-limb tower representation coincides with the polynomial-basis GF(2^16)
     rng = random.Random(5)
     a = np.array([rng.randrange(0, 65536) for _ in range(200)], dtype=np.uint64)
     b = np.array([rng.randrange(0, 65536) for _ in range(200)], dtype=np.uint64)
     c = _planar_mul(VecGF(16), a, b)
     for i in range(200):
-        assert int(c[i]) == f.mul(int(a[i]), int(b[i]))
+        assert int(c[i]) == _gf16_mul(int(a[i]), int(b[i]))
 
 
 def test_annihilation_all_v():
-    # (1+v)^2 = 0 for every v, k_dim <= 10 (sparse xor route)
+    # (1+v)^2 = 0 for every v, k_dim <= 10
     for k in range(1, 11):
         for v in range(1 << k):
             e = one_plus_v(k, 64, v, lam=0x9E3779B97F4A7C15 & ((1 << 64) - 1))
@@ -250,6 +283,15 @@ def test_independence_survival():
         # a dependent extra vector annihilates
         dep = basis_vecs[0] ^ basis_vecs[1]
         assert ga_multiply(prod, one_plus_v(k, 64, dep, 1), Backend.XOR_CONVOLUTION).is_zero()
+
+
+def test_element_rejects_bad_width_and_coefficients():
+    with pytest.raises(ValueError, match="l must be"):
+        GroupAlgebraElement(1, 20, Basis.GROUP, (1, 0))
+    for bad in (1 << 16, -1):
+        with pytest.raises(ValueError, match="coefficients"):
+            GroupAlgebraElement(1, 16, Basis.GROUP, (bad, 0))
+    GroupAlgebraElement(1, 16, Basis.GROUP, ((1 << 16) - 1, 0))
 
 
 def test_zero_element():

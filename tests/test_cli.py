@@ -152,6 +152,17 @@ def test_shrink_witness_without_kind_exit_two(tmp_path, capsys):
     assert '"kind"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edges", [["a"], [0.5], [[0]], [True, 0], [0, None]])
+def test_shrink_witness_non_integer_edges_exit_two(tmp_path, capsys, edges):
+    gp = tmp_path / "g.graph"
+    gp.write_text(TRI)
+    wp = tmp_path / "w.json"
+    wp.write_text(json.dumps({"kind": "subgraph", "edges": edges}))
+    assert main(["shrink", "-k", "2", str(gp), str(wp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "integer edge indices" in captured.err
+
+
 @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
 def test_bad_threads_exit_two(value, monkeypatch, capsys):
     monkeypatch.setenv("BCSLAB_THREADS", value)

@@ -4,7 +4,6 @@ import pytest
 from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph, validate_witness
 from bcslab.oracle import oracle_solve
 from bcslab.algebra.circuits import Circuit, build_circuit_ebp
-from bcslab.algebra.field import GF2e
 from bcslab.algebra.group_algebra import Basis, GroupAlgebraElement
 from bcslab.algebra.mldetect import (
     RandomizedAnswer,
@@ -60,8 +59,24 @@ def test_fast_path_matches_exact_ranked_path():
     assert _is_homogeneous(c) == 3
     sub = draw_substitution(5 + 1, max(1, c.n_tags), 3, 16, seed=9, batch=4)
     fast = _eval_fast(c, sub) != 0
-    exact = _eval_exact(c, sub) != 0
+    exact = _eval_exact(c, sub).any(axis=1)
     assert np.array_equal(fast, exact)
+
+
+@pytest.mark.parametrize("ell", [16, 32, 64])
+@pytest.mark.parametrize("kind", list(WitnessKind))
+def test_exact_top_coefficient_equals_fast_value(kind, ell):
+    # both paths evaluate in the same field, so the exact path's full-mask
+    # coefficient is the fast path's value, not just its zero pattern
+    from bcslab.algebra.mldetect import _BUILDERS, _eval_exact, _eval_fast, _index_vars
+
+    build, extra = _BUILDERS[kind]
+    c = build(random_redblue(5, 0.6, 31), 2)
+    sub = draw_substitution(len(_index_vars(c)[1]), c.n_tags, 2 + extra, ell, seed=9, batch=4)
+    fast = _eval_fast(c, sub)
+    exact = _eval_exact(c, sub)
+    assert exact.shape == (4, 1 << (2 + extra))
+    assert fast.any() and exact[:, -1].tolist() == fast.tolist()
 
 
 def test_one_sided_never_yes_on_no():
@@ -111,6 +126,20 @@ def test_exact_path_detects_lower_degree_monomial():
     c = _tiny([("in", ("x", 1)), ("in", ("x", 2)), ("mul", 0, 1), ("add", 2, 0)], 3, 2)
     hits = sum(detect_multilinear(c, 2, 64, 4, s) for s in range(1, 11))
     assert hits == 10
+
+
+def test_exact_path_constants_are_rank_zero():
+    from bcslab.algebra.mldetect import _eval_exact, _is_homogeneous
+
+    # x1 + 1 + 0 mixes degrees 1 and 0, so it takes the exact path
+    c = _tiny([("in", ("x", 1)), ("c1",), ("add", 0, 1), ("c0",), ("add", 2, 3)], 4, 1)
+    assert c.degrees() == [1, 0, 1, 0, 1]
+    assert _is_homogeneous(c) is None and _is_homogeneous(C_SUM) == 2
+    sub = draw_substitution(1, 1, 2, 64, seed=3, batch=2)
+    out = _eval_exact(c, sub)
+    assert out[:, 0].tolist() == [1, 1]
+    assert out[:, 1:3].tolist() == sub.vectors[:, 0, :].tolist()
+    assert not out[:, 3].any()
 
 
 # run_trials flags and a digest of the raw top coefficients (sha256 of the

@@ -67,6 +67,38 @@ def test_splitpath_always_split():
             assert len(gi.graph.red_edges()) == k
 
 
+def test_splitpath_large_independent_side():
+    # 20000 independent vertices, each hanging off the clique: the partition
+    # check is one pass over the edges, not a scan of all independent pairs
+    n = 20003
+    edges = [(1, 2), (1, 3), (2, 3)] + [(1 + v % 3, v) for v in range(4, n + 1)]
+    gi = longest_path_split_to_ebp(n, edges, {1, 2, 3}, set(range(4, n + 1)), 1, 2)
+    assert gi.graph.n == n + 2 and split_partition(gi.graph) is not None
+    assert gi.intended is not None and validate_witness(gi.graph, gi.intended, 4).valid
+
+
+def test_splitpath_rejects_bad_partition():
+    edges = [(1, 2), (2, 3), (3, 4)]
+    with pytest.raises(ValueError, match="clique part is not a clique"):
+        longest_path_split_to_ebp(4, edges, {1, 2, 3}, {4}, 1, 1)
+    with pytest.raises(ValueError, match="independent part is not independent"):
+        longest_path_split_to_ebp(4, edges, {2}, {1, 3, 4}, 2, 1)
+    # both faults: the clique is reported first, as before
+    with pytest.raises(ValueError, match="clique part is not a clique"):
+        longest_path_split_to_ebp(5, [(1, 2), (4, 5)], {1, 2, 3}, {4, 5}, 1, 1)
+    # a repeated clique edge does not stand in for a missing one
+    with pytest.raises(ValueError, match="clique part is not a clique"):
+        longest_path_split_to_ebp(3, [(1, 2), (2, 1), (2, 3)], {1, 2, 3}, set(), 1, 1)
+
+
+def test_connected_graph_classes_counts():
+    # connected graphs on 1..5 vertices up to isomorphism: 1, 1, 2, 6, 21
+    counts = [0] * 6
+    for n, _ in connected_graph_classes(5):
+        counts[n] += 1
+    assert counts[1:] == [1, 1, 2, 6, 21]
+
+
 def test_brute_helpers():
     assert longest_path_from(3, [(1, 2), (2, 3), (1, 3)], 1) == 2
     assert longest_path_from(4, [(1, 2), (2, 3), (3, 4)], 1) == 3
