@@ -12,6 +12,10 @@ at build time:
 * path: variables y_v, anchored at the current endpoint; one neighbor
   extension per step; degree exactly k+1.
 
+The three share one skeleton, `_Builder.circuit`: the memo, the sum of the
+top cells over all anchors, and the tagged sums of child cells. A builder
+only says how one cell combines its children.
+
 Every sum term carries a fresh scalar tag variable ('t', i): a degree-0 input
 multiplied into that term. Distinct derivations of the same square-free
 monomial then pick distinct tag sets (no cell repeats inside one derivation of
@@ -19,13 +23,19 @@ a square-free monomial, because a cell's monomials all contain its anchor
 variables), so coefficients survive characteristic 2 under random tag values.
 With every tag set to one the polynomial is exactly the untagged recurrence
 over the non-negative integers, which is what the symbolic expansion checks.
+
+A Circuit is analysed once, when it is constructed: the same pass that checks
+the gate references numbers the structural variables, takes every gate's
+degree and last use and marks the multiplies by a tag. `walk` then evaluates
+a circuit in one loop over its gates for any choice of value rules; the
+sieve, its exact reference and `expand_multilinear` all go through it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, FrozenSet, List, Optional
 
-from ..graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, require_even_k
+from ..graphs import EdgeColor, RedBlueGraph, count_splits, require_even_k
 
 
 @dataclass(frozen=True)
@@ -36,52 +46,120 @@ class Circuit:
     var one of ('x', edge_index), ('y', vertex), ('t', tag_index). Tag inputs
     are scalar fingerprints of degree 0; degree_bound dominates the structural
     degree of every monomial.
+
+    Construction also stores, in one pass: var_index, each structural
+    variable's number in order of first appearance; last_use[g], the last
+    gate that reads g (g if none does, len(gates) for the output); tag_side[g],
+    1 or 2 when that operand of multiply g is a tag input, else 0; and
+    homogeneous_degree, the output degree if every add joins equal degrees.
     """
 
     gates: tuple
     output: int
     degree_bound: int
     n_tags: int
+    var_index: dict = field(init=False, repr=False, compare=False)
+    last_use: list = field(init=False, repr=False, compare=False)
+    tag_side: list = field(init=False, repr=False, compare=False)
+    homogeneous_degree: Optional[int] = field(init=False, repr=False, compare=False)
+    _degrees: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for gid, g in enumerate(self.gates):
-            if g[0] in ("add", "mul") and not (g[1] < gid and g[2] < gid):
-                raise ValueError("gate references must precede the gate")
-        if not (0 <= self.output < len(self.gates)):
+        gates = self.gates
+        n = len(gates)
+        if not (0 <= self.output < n):
             raise ValueError("output gate out of range")
-
-    def degrees(self) -> list:
-        """Structural degree of every gate; tags and constants have degree 0.
-
-        Runs on every sieve decision, so the common gates are tested first.
-        """
-        deg = []
-        for g in self.gates:
+        var_index: dict = {}
+        deg = [0] * n
+        last = list(range(n))
+        side = [0] * n
+        tags = set()
+        homogeneous = True
+        # one loop, the common gates first: it runs on every circuit built
+        for gid, g in enumerate(gates):
             op = g[0]
             if op == "mul":
-                deg.append(deg[g[1]] + deg[g[2]])
+                _, i, j = g
+                if i >= gid or j >= gid:
+                    raise ValueError("gate references must precede the gate")
+                last[i] = last[j] = gid
+                deg[gid] = deg[i] + deg[j]
+                if i in tags:
+                    side[gid] = 1
+                elif j in tags:
+                    side[gid] = 2
             elif op == "add":
-                a, b = deg[g[1]], deg[g[2]]
-                deg.append(a if a >= b else b)
+                _, i, j = g
+                if i >= gid or j >= gid:
+                    raise ValueError("gate references must precede the gate")
+                last[i] = last[j] = gid
+                a, b = deg[i], deg[j]
+                if a != b:
+                    homogeneous = False
+                deg[gid] = a if a >= b else b
+            elif op == "in":
+                key = g[1]
+                if key[0] == "t":
+                    tags.add(gid)
+                else:
+                    var_index.setdefault(key, len(var_index))
+                    deg[gid] = 1
+        last[self.output] = n
+        put = object.__setattr__
+        put(self, "var_index", var_index)
+        put(self, "last_use", last)
+        put(self, "tag_side", side)
+        put(self, "homogeneous_degree", deg[self.output] if homogeneous else None)
+        put(self, "_degrees", deg)
+
+    def degrees(self) -> list:
+        """Structural degree of every gate; tags and constants have degree 0."""
+        return self._degrees
+
+
+def walk(c: Circuit, var: Callable, tag: Callable, const: Callable, add: Callable,
+         mul: Callable):
+    """The output value of c under one set of value rules, in one pass.
+
+    var(i) gives variable number i (c.var_index), tag(s) tag s, const(bit) c0
+    or c1; add(a, b) and mul(a, b, scalar) combine values, with scalar True
+    when b is a tag's value. A value is dropped after its last use.
+    """
+    gates, last, side, var_index = c.gates, c.last_use, c.tag_side, c.var_index
+    vals: list = [None] * len(gates)
+    for gid, g in enumerate(gates):
+        op = g[0]
+        if op == "mul" or op == "add":
+            i, j = g[1], g[2]
+            if op == "add":
+                v = add(vals[i], vals[j])
+            elif side[gid] == 1:
+                v = mul(vals[j], vals[i], True)
             else:
-                deg.append(1 if op == "in" and g[1][0] != "t" else 0)
-        return deg
+                v = mul(vals[i], vals[j], side[gid] == 2)
+            if last[i] == gid:
+                vals[i] = None
+            if last[j] == gid:
+                vals[j] = None
+        elif op == "in":
+            key = g[1]
+            v = tag(key[1]) if key[0] == "t" else var(var_index[key])
+        else:
+            v = const(op == "c1")
+        vals[gid] = v
+    return vals[c.output]
 
 
 def dump_circuit(c: Circuit) -> str:
     lines = []
     for gid, g in enumerate(c.gates):
         if g[0] == "in":
-            kind, idx = g[1]
-            lines.append(f"g{gid} = IN {kind}{idx}")
-        elif g[0] == "c0":
-            lines.append(f"g{gid} = C0")
-        elif g[0] == "c1":
-            lines.append(f"g{gid} = C1")
-        elif g[0] == "add":
-            lines.append(f"g{gid} = ADD g{g[1]} g{g[2]}")
+            body = "IN %s%s" % g[1]
+        elif g[0] in ("add", "mul"):
+            body = f"{g[0].upper()} g{g[1]} g{g[2]}"
         else:
-            lines.append(f"g{gid} = MUL g{g[1]} g{g[2]}")
+            body = g[0].upper()
+        lines.append(f"g{gid} = {body}")
     lines.append(f"out g{c.output}")
     return "\n".join(lines) + "\n"
 
@@ -107,87 +185,92 @@ class _Builder:
         return self.gate(("in", ("t", t)))
 
     def mul(self, a: int, b: int) -> int:
-        return self.gate(("mul", a, b))
+        self.gates.append(("mul", a, b))
+        return len(self.gates) - 1
 
     def addtree(self, ids: List[int]) -> Optional[int]:
         if not ids:
             return None
+        gates = self.gates
         acc = ids[0]
         for x in ids[1:]:
-            acc = self.gate(("add", acc, x))
+            gates.append(("add", acc, x))
+            acc = len(gates) - 1
         return acc
 
-    def finish(self, out: Optional[int], degree_bound: int) -> Circuit:
-        if out is None:
-            out = self.gate(("c0",))
-        return Circuit(tuple(self.gates), out, degree_bound, self.n_tags)
+    def tagged_sum(self, cell: Callable, j: int, anchors, r: int, b: int) -> Optional[int]:
+        """Sum over anchors a of a fresh tag times cell(j, a, r, b), skipping
+        zero cells; each child's gates come just before its tag and product."""
+        gates = self.gates
+        terms = []
+        for a in anchors:
+            ch = cell(j, a, r, b)
+            if ch is not None:
+                gates.append(("in", ("t", self.n_tags)))
+                self.n_tags += 1
+                gates.append(("mul", len(gates) - 1, ch))
+                terms.append(len(gates) - 1)
+        return self.addtree(terms)
+
+    def circuit(self, rule: Callable, anchors, k: int, degree_bound: int) -> Circuit:
+        """The sum over anchors of the cell (k, anchor, k/2, k/2).
+
+        rule(cell, j, anchor, r, b) returns the gate of a cell, or None when
+        the cell is zero; cell(j, anchor, r, b) looks up a child, memoized,
+        and is None for negative counts.
+        """
+        half = k // 2
+        memo: Dict[tuple, Optional[int]] = {}
+
+        def cell(j, a, r, b):
+            if r < 0 or b < 0:
+                return None
+            key = (j, a, r, b)
+            if key in memo:
+                return memo[key]
+            memo[key] = out = rule(cell, j, a, r, b)
+            return out
+
+        top = self.addtree([c for c in (cell(k, a, half, half) for a in anchors)
+                            if c is not None])
+        del cell  # break the closure's self-reference so the memo frees on return
+        if top is None:
+            top = self.gate(("c0",))
+        return Circuit(tuple(self.gates), top, degree_bound, self.n_tags)
 
 
 def build_circuit_ebcs(G: RedBlueGraph, k: int) -> Circuit:
     """Sum over edges of P_k(e, k/2, k/2) for connected relaxed subgraphs."""
     require_even_k(k)
-    half = k // 2
     bld = _Builder()
     nbrs = [G.edge_neighbors(e) for e in range(G.m)]
     red = [G.color(e) is EdgeColor.RED for e in range(G.m)]
-    memo: Dict[tuple, Optional[int]] = {}
 
-    def cell(j, e, r, b):
-        if r < 0 or b < 0 or r > half or b > half or r + b != j or j < 1:
-            return None
-        key = (j, e, r, b)
-        if key in memo:
-            return memo[key]
-        if j == 1:
-            ok = (red[e] and (r, b) == (1, 0)) or (not red[e] and (r, b) == (0, 1))
-            memo[key] = bld.var(("x", e)) if ok else None
-            return memo[key]
+    def rule(cell, j, e, r, b):
         rc, bc = (r - 1, b) if red[e] else (r, b - 1)
+        if j == 1:
+            return bld.var(("x", e)) if rc == bc == 0 else None
         if rc < 0 or bc < 0:
-            memo[key] = None
             return None
         terms = []
-        ext = []
-        for e2 in nbrs[e]:
-            ch = cell(j - 1, e2, rc, bc)
-            if ch is not None:
-                ext.append(bld.mul(bld.tag(), ch))
-        agg = bld.addtree(ext)
+        agg = bld.tagged_sum(cell, j - 1, nbrs[e], rc, bc)
         if agg is not None:
             terms.append(bld.mul(bld.var(("x", e)), agg))
-        for r1 in range(rc + 1):
-            for b1 in range(bc + 1):
-                l1 = r1 + b1
-                l2 = (rc - r1) + (bc - b1)
-                if l1 < 1 or l2 < 1:
-                    continue
-                rest = cell(j - l1, e, r - r1, b - b1)
-                if rest is None:
-                    continue
-                left = []
-                for e2 in nbrs[e]:
-                    ch = cell(l1, e2, r1, b1)
-                    if ch is not None:
-                        left.append(bld.mul(bld.tag(), ch))
-                lagg = bld.addtree(left)
-                if lagg is not None:
-                    terms.append(bld.mul(lagg, rest))
-        memo[key] = bld.addtree(terms)
-        return memo[key]
+        for (r1, b1), _ in count_splits(rc, bc):
+            rest = cell(j - r1 - b1, e, r - r1, b - b1)
+            if rest is None:
+                continue
+            lagg = bld.tagged_sum(cell, r1 + b1, nbrs[e], r1, b1)
+            if lagg is not None:
+                terms.append(bld.mul(lagg, rest))
+        return bld.addtree(terms)
 
-    tops = []
-    for e in range(G.m):
-        c = cell(k, e, half, half)
-        if c is not None:
-            tops.append(c)
-    del cell  # break the closure's self-reference so the memo and gate list free on return
-    return bld.finish(bld.addtree(tops), k)
+    return bld.circuit(rule, range(G.m), k, k)
 
 
 def build_circuit_ebt(G: RedBlueGraph, k: int) -> Circuit:
     """Sum over edges of P_k(e, k/2, k/2) for relaxed trees; degree k+1."""
     require_even_k(k)
-    half = k // 2
     bld = _Builder()
     red = [G.color(e) is EdgeColor.RED for e in range(G.m)]
     at = []
@@ -196,118 +279,51 @@ def build_circuit_ebt(G: RedBlueGraph, k: int) -> Circuit:
         eu = sorted(j for w, j in G.adjacency[u] if j != e and w != v)
         ev = sorted(j for w, j in G.adjacency[v] if j != e and w != u)
         at.append((eu, ev))
-    memo: Dict[tuple, Optional[int]] = {}
 
-    def cell(j, e, r, b):
-        if r < 0 or b < 0 or r > half or b > half or r + b != j or j < 1:
-            return None
-        key = (j, e, r, b)
-        if key in memo:
-            return memo[key]
+    def rule(cell, j, e, r, b):
         u, v, _ = G.edges[e]
-        if j == 1:
-            ok = (red[e] and (r, b) == (1, 0)) or (not red[e] and (r, b) == (0, 1))
-            memo[key] = (
-                bld.mul(bld.var(("y", u)), bld.var(("y", v))) if ok else None
-            )
-            return memo[key]
         rc, bc = (r - 1, b) if red[e] else (r, b - 1)
+        if j == 1:
+            return bld.mul(bld.var(("y", u)), bld.var(("y", v))) if rc == bc == 0 else None
         if rc < 0 or bc < 0:
-            memo[key] = None
             return None
         eu, ev = at[e]
         terms = []
-        # u pendant: remainder hangs at v
-        pend = []
-        for e2 in ev:
-            ch = cell(j - 1, e2, rc, bc)
-            if ch is not None:
-                pend.append(bld.mul(bld.tag(), ch))
-        agg = bld.addtree(pend)
-        if agg is not None:
-            terms.append(bld.mul(bld.var(("y", u)), agg))
-        # v pendant: remainder hangs at u
-        pend = []
-        for e2 in eu:
-            ch = cell(j - 1, e2, rc, bc)
-            if ch is not None:
-                pend.append(bld.mul(bld.tag(), ch))
-        agg = bld.addtree(pend)
-        if agg is not None:
-            terms.append(bld.mul(bld.var(("y", v)), agg))
+        # a pendant endpoint, with the remainder hanging at the other one
+        for leaf, side in ((u, ev), (v, eu)):
+            agg = bld.tagged_sum(cell, j - 1, side, rc, bc)
+            if agg is not None:
+                terms.append(bld.mul(bld.var(("y", leaf)), agg))
         # two-sided split: u-side times v-side, sizes l1 + l2 = j - 1
-        for r1 in range(rc + 1):
-            for b1 in range(bc + 1):
-                l1 = r1 + b1
-                l2 = (rc - r1) + (bc - b1)
-                if l1 < 1 or l2 < 1:
-                    continue
-                left = []
-                for e2 in eu:
-                    ch = cell(l1, e2, r1, b1)
-                    if ch is not None:
-                        left.append(bld.mul(bld.tag(), ch))
-                lagg = bld.addtree(left)
-                if lagg is None:
-                    continue
-                right = []
-                for e2 in ev:
-                    ch = cell(l2, e2, rc - r1, bc - b1)
-                    if ch is not None:
-                        right.append(bld.mul(bld.tag(), ch))
-                ragg = bld.addtree(right)
-                if ragg is not None:
-                    terms.append(bld.mul(lagg, ragg))
-        memo[key] = bld.addtree(terms)
-        return memo[key]
+        for (r1, b1), (r2, b2) in count_splits(rc, bc):
+            lagg = bld.tagged_sum(cell, r1 + b1, eu, r1, b1)
+            if lagg is None:
+                continue
+            ragg = bld.tagged_sum(cell, r2 + b2, ev, r2, b2)
+            if ragg is not None:
+                terms.append(bld.mul(lagg, ragg))
+        return bld.addtree(terms)
 
-    tops = []
-    for e in range(G.m):
-        c = cell(k, e, half, half)
-        if c is not None:
-            tops.append(c)
-    del cell  # break the closure's self-reference so the memo and gate list free on return
-    return bld.finish(bld.addtree(tops), k + 1)
+    return bld.circuit(rule, range(G.m), k, k + 1)
 
 
 def build_circuit_ebp(G: RedBlueGraph, k: int) -> Circuit:
     """Sum over vertices of P_k(v, k/2, k/2) for relaxed paths; degree k+1."""
     require_even_k(k)
-    half = k // 2
     bld = _Builder()
-    memo: Dict[tuple, Optional[int]] = {}
+    red = [G.color(e) is EdgeColor.RED for e in range(G.m)]
 
-    def cell(j, v, r, b):
-        if r < 0 or b < 0 or r > half or b > half or r + b != j:
-            return None
-        key = (j, v, r, b)
-        if key in memo:
-            return memo[key]
+    def rule(cell, j, v, r, b):
         if j == 0:
-            memo[key] = bld.var(("y", v))
-            return memo[key]
-        parts = []
-        for u, e in G.adjacency[v]:
-            if G.color(e) is EdgeColor.RED:
-                ch = cell(j - 1, u, r - 1, b)
-            else:
-                ch = cell(j - 1, u, r, b - 1)
-            if ch is not None:
-                parts.append(ch)
-        agg = bld.addtree(parts)
+            return bld.var(("y", v))
+        agg = bld.addtree([ch for ch in (cell(j - 1, u, r - 1, b) if red[e]
+                                         else cell(j - 1, u, r, b - 1)
+                                         for u, e in G.adjacency[v]) if ch is not None])
         if agg is None:
-            memo[key] = None
             return None
-        memo[key] = bld.mul(bld.tag(), bld.mul(bld.var(("y", v)), agg))
-        return memo[key]
+        return bld.mul(bld.tag(), bld.mul(bld.var(("y", v)), agg))
 
-    tops = []
-    for v in range(1, G.n + 1):
-        c = cell(k, v, half, half)
-        if c is not None:
-            tops.append(c)
-    del cell  # break the closure's self-reference so the memo and gate list free on return
-    return bld.finish(bld.addtree(tops), k + 1)
+    return bld.circuit(rule, range(1, G.n + 1), k, k + 1)
 
 
 def expand_multilinear(c: Circuit, max_degree: int) -> Dict[FrozenSet, int]:
@@ -319,32 +335,27 @@ def expand_multilinear(c: Circuit, max_degree: int) -> Dict[FrozenSet, int]:
     because a square or an over-degree factor can never return to the
     multilinear, bounded-degree part.
     """
-    vals: List[Dict[FrozenSet, int]] = []
     one = frozenset()
-    for g in c.gates:
-        if g[0] == "in":
-            if g[1][0] == "t":
-                vals.append({one: 1})
-            else:
-                vals.append({frozenset((g[1],)): 1})
-        elif g[0] == "c0":
-            vals.append({})
-        elif g[0] == "c1":
-            vals.append({one: 1})
-        elif g[0] == "add":
-            out = dict(vals[g[1]])
-            for mono, coef in vals[g[2]].items():
-                out[mono] = out.get(mono, 0) + coef
-            vals.append({m: c2 for m, c2 in out.items() if c2})
-        else:
-            out = {}
-            for m1, c1 in vals[g[1]].items():
-                for m2, c2 in vals[g[2]].items():
-                    if m1 & m2:
-                        continue
-                    m = m1 | m2
-                    if len(m) > max_degree:
-                        continue
-                    out[m] = out.get(m, 0) + c1 * c2
-            vals.append(out)
-    return {m: c2 for m, c2 in vals[c.output].items() if c2}
+    names = list(c.var_index)
+
+    def add(a, b):
+        out = dict(a)
+        for mono, coef in b.items():
+            out[mono] = out.get(mono, 0) + coef
+        return {m: c2 for m, c2 in out.items() if c2}
+
+    def mul(a, b, _scalar):
+        out: Dict[FrozenSet, int] = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                if m1 & m2:
+                    continue
+                m = m1 | m2
+                if len(m) > max_degree:
+                    continue
+                out[m] = out.get(m, 0) + c1 * c2
+        return out
+
+    value = walk(c, lambda i: {frozenset((names[i],)): 1}, lambda s: {one: 1},
+                 lambda bit: {one: 1} if bit else {}, add, mul)
+    return {m: c2 for m, c2 in value.items() if c2}

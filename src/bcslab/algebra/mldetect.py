@@ -16,16 +16,20 @@ lower-rank junk introduced by overlapping unions can never reach the full
 mask, whose Moebius coefficient (the XOR of the whole vector) is therefore
 the exact top-rank ring coefficient. Other circuits fall back to exact
 ranked subset convolution per gate.
+
+Both evaluators supply only value rules to `circuits.walk` and read the
+variable numbering and homogeneous degree stored when the circuit was built,
+so a `run_trials` call makes no pass over the gates besides the evaluation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..graphs import RedBlueGraph, Witness, WitnessKind, require_even_k, validate_witness
-from .circuits import Circuit, build_circuit_ebcs, build_circuit_ebt, build_circuit_ebp
+from .circuits import Circuit, build_circuit_ebcs, build_circuit_ebt, build_circuit_ebp, walk
 from .field import VecGF
 from .group_algebra import Backend, Basis, GroupAlgebraElement, ga_multiply
 
@@ -51,42 +55,9 @@ def draw_substitution(
     batch_index: int = 0,
 ) -> Substitution:
     gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), batch_index]))
-    if ell == 64:
-        vectors = gen.integers(0, 2**64, size=(batch, nvars, k_dim), dtype=np.uint64)
-    else:
-        vectors = gen.integers(0, 2**ell, size=(batch, nvars, k_dim), dtype=np.uint64)
+    vectors = gen.integers(0, 2**ell, size=(batch, nvars, k_dim), dtype=np.uint64)
     tags = gen.integers(1, 2**_TAG_ELL, size=(batch, max(1, ntags)), dtype=np.uint64)
     return Substitution(k_dim, ell, vectors, tags)
-
-
-def _index_vars(c: Circuit):
-    """Stable numbering of structural variables in gate order."""
-    order = []
-    seen = {}
-    for g in c.gates:
-        if g[0] == "in" and g[1][0] != "t":
-            if g[1] not in seen:
-                seen[g[1]] = len(order)
-                order.append(g[1])
-    return seen, order
-
-
-def _is_homogeneous(c: Circuit) -> Optional[int]:
-    """Output degree if every add combines equal degrees, else None."""
-    deg = c.degrees()
-    for g in c.gates:
-        if g[0] == "add" and deg[g[1]] != deg[g[2]]:
-            return None
-    return deg[c.output]
-
-
-def _last_uses(c: Circuit):
-    last = [gid for gid in range(len(c.gates))]
-    for gid, g in enumerate(c.gates):
-        if g[0] in ("add", "mul"):
-            last[g[1]] = gid
-            last[g[2]] = gid
-    return last
 
 
 def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
@@ -94,15 +65,12 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
     K = sub.k_dim
     B = sub.vectors.shape[0]
     vf = VecGF(sub.ell)
-    varmap, _ = _index_vars(c)
-    last = _last_uses(c)
-    vals: list = [None] * len(c.gates)
     # values are field vectors over the trailing axes (B, 2^K); constants and
     # tags are (B, 1) and broadcast
     vectors = vf.to_planes(sub.vectors)
     tags = vf.to_planes(sub.tags)
-    zero = vf.to_planes(np.zeros((B, 1), dtype=np.uint64))
-    one = vf.to_planes(np.ones((B, 1), dtype=np.uint64))
+    consts = (vf.to_planes(np.zeros((B, 1), dtype=np.uint64)),
+              vf.to_planes(np.ones((B, 1), dtype=np.uint64)))
 
     def leaf_vec(i):
         cv = vectors[..., i, :]
@@ -112,33 +80,11 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
             z[..., blk : 2 * blk] = z[..., :blk] ^ cv[..., j : j + 1]
         return z
 
-    for gid, g in enumerate(c.gates):
-        if g[0] == "in":
-            if g[1][0] == "t":
-                v = tags[..., g[1][1] : g[1][1] + 1]
-            else:
-                v = leaf_vec(varmap[g[1]])
-        elif g[0] == "c0":
-            v = zero
-        elif g[0] == "c1":
-            v = one
-        elif g[0] == "add":
-            v = vals[g[1]] ^ vals[g[2]]
-        else:
-            a, b = vals[g[1]], vals[g[2]]
-            ga, gb = c.gates[g[1]], c.gates[g[2]]
-            if ga[0] == "in" and ga[1][0] == "t":
-                v = vf.mul_scalar16(b, a)
-            elif gb[0] == "in" and gb[1][0] == "t":
-                v = vf.mul_scalar16(a, b)
-            else:
-                v = vf.mul(a, b)
-        vals[gid] = v
-        if g[0] in ("add", "mul"):
-            for op in (g[1], g[2]):
-                if last[op] == gid and op != c.output:
-                    vals[op] = None
-    out = vals[c.output]
+    def mul(a, b, scalar):
+        return vf.mul_scalar16(a, b) if scalar else vf.mul(a, b)
+
+    out = walk(c, leaf_vec, lambda s: tags[..., s : s + 1], consts.__getitem__,
+               np.bitwise_xor, mul)
     if out.shape[-1] == 1:
         # constant circuit: degree 0 means no monomial of positive degree
         return np.zeros(B, dtype=np.uint64)
@@ -150,7 +96,6 @@ def _eval_exact(c: Circuit, sub: Substitution) -> np.ndarray:
     subset convolution per gate and trial (reference and fallback path)."""
     K = sub.k_dim
     B = sub.vectors.shape[0]
-    varmap, _ = _index_vars(c)
 
     def elem(coeffs: dict) -> GroupAlgebraElement:
         full = [0] * (1 << K)
@@ -158,34 +103,28 @@ def _eval_exact(c: Circuit, sub: Substitution) -> np.ndarray:
             full[mask] = int(x)
         return GroupAlgebraElement(K, sub.ell, Basis.NILPOTENT, tuple(full))
 
+    def mul(a, b, _scalar):
+        return ga_multiply(a, b, Backend.SUBSET_CONVOLUTION)
+
     out = np.zeros((B, 1 << K), dtype=np.uint64)
     for t in range(B):
-        vals: list = []
-        for g in c.gates:
-            if g[0] == "in" and g[1][0] == "t":
-                v = elem({0: sub.tags[t, g[1][1]]})  # tags and constants have rank 0
-            elif g[0] == "in":
-                v = elem({1 << j: x for j, x in enumerate(sub.vectors[t, varmap[g[1]]])})
-            elif g[0] in ("c0", "c1"):
-                v = elem({0: g[0] == "c1"})
-            elif g[0] == "add":
-                v = vals[g[1]].add(vals[g[2]])
-            else:
-                v = ga_multiply(vals[g[1]], vals[g[2]], Backend.SUBSET_CONVOLUTION)
-            vals.append(v)
-        out[t] = vals[c.output].coeffs
+        # tags and constants have rank 0
+        out[t] = walk(c, lambda i: elem({1 << j: x for j, x in enumerate(sub.vectors[t, i])}),
+                      lambda s: elem({0: sub.tags[t, s]}), lambda bit: elem({0: bit}),
+                      GroupAlgebraElement.add, mul).coeffs
     return out
 
 
 def run_trials(c: Circuit, k_dim: int, ell: int, trials: int, seed: int,
                batch_index: int = 0) -> np.ndarray:
     """Per-trial positive flags; one-sided (never positive on zero polynomials)."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if c.degree_bound > k_dim:
         raise ValueError("circuit degree bound exceeds k_dim")
-    nvars = len(_index_vars(c)[1])
-    sub = draw_substitution(max(1, nvars), c.n_tags, k_dim, ell, seed, trials, batch_index)
-    hom = _is_homogeneous(c)
-    if hom is not None and hom == k_dim:
+    sub = draw_substitution(max(1, len(c.var_index)), c.n_tags, k_dim, ell, seed, trials,
+                            batch_index)
+    if c.homogeneous_degree == k_dim:
         return _eval_fast(c, sub) != 0
     return _eval_exact(c, sub).any(axis=1)
 

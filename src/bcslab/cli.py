@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 from typing import List, Optional
@@ -25,10 +26,10 @@ from .graphs import (
     validate_witness,
 )
 from .oracle import OracleBudgetError, SolveMode, oracle_count, oracle_solve
-from .colorcoding import family_driver, random_coloring_driver
+from .colorcoding import colorful_dp, family_driver, random_coloring_driver, random_labels
 from .repsets import solve_ebp_repsets
 from .splitsolver import NotASplitGraphError, solve_split_ebcs
-from .algebra.mldetect import randomized_solve
+from .algebra.mldetect import _BUILDERS, randomized_solve, run_trials
 from .shrink import ShrinkPreconditionError, shrink_to_range
 from .reductions import longest_path_split_to_ebp, steiner_to_ebcs
 from . import corpus as corpus_mod
@@ -262,6 +263,8 @@ def cmd_bench(args) -> int:
 
 
 def bench_rows(algo, kind_name, ks, n, p, seed, runs, trials=8, ell=32):
+    if runs < 1:
+        raise ValueError(f"bench needs at least one run, got {runs}")
     kind = KINDS[kind_name]
     rows = []
     G = corpus_mod.random_graph(n, p, seed)
@@ -271,25 +274,10 @@ def bench_rows(algo, kind_name, ks, n, p, seed, runs, trials=8, ell=32):
             t0 = time.perf_counter()
             if algo == "algebraic":
                 # fixed trial count (no early exit) so rows reflect engine scaling
-                from .algebra.mldetect import run_trials, _BUILDERS
-
                 build, extra = _BUILDERS[kind]
-                circ = build(G, k)
-                run_trials(circ, k + extra, ell, trials, seed + r)
+                run_trials(build(G, k), k + extra, ell, trials, seed + r)
             elif algo == "colorcoding":
-                from .colorcoding import EdgeColoring, VertexColoring, colorful_bcs_dp, colorful_bt_dp, colorful_ebp_dp
-                import random as _r
-
-                rng = _r.Random(seed + r)
-                if kind is WitnessKind.SUBGRAPH:
-                    sig = EdgeColoring(k, tuple(rng.randrange(1, k + 1) for _ in range(G.m)))
-                    colorful_bcs_dp(G, sig, k)
-                elif kind is WitnessKind.TREE:
-                    tau = VertexColoring(k, (0,) + tuple(rng.randrange(1, k + 2) for _ in range(G.n)))
-                    colorful_bt_dp(G, tau, k)
-                else:
-                    tau = VertexColoring(k, (0,) + tuple(rng.randrange(1, k + 2) for _ in range(G.n)))
-                    colorful_ebp_dp(G, tau, k)
+                colorful_dp(G, k, kind, random_labels(random.Random(seed + r), G, k, kind))
             elif algo == "repsets":
                 solve_ebp_repsets(G, k)
             else:

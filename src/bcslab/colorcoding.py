@@ -25,7 +25,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, require_even_k
+from .graphs import (EdgeColor, RedBlueGraph, Witness, WitnessKind, count_level, count_splits,
+                     require_even_k)
 
 
 @dataclass(frozen=True)
@@ -110,20 +111,6 @@ def _join(a: int, b: int, disjoint: dict, keep: tuple) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _level(j: int, half: int) -> tuple:
-    """The (red, blue) counts of j edges with at most half of each color."""
-    return tuple((r, j - r) for r in range(max(0, j - half), min(half, j) + 1))
-
-
-@lru_cache(maxsize=None)
-def _splits(rc: int, bc: int) -> tuple:
-    """Ordered ((r1, b1), (r2, b2)), both parts nonempty, summing to (rc, bc)."""
-    return tuple(((r1, b1), (rc - r1, bc - b1))
-                 for r1 in range(rc + 1) for b1 in range(bc + 1)
-                 if r1 + b1 and rc - r1 + bc - b1)
-
-
 def _submasks(L: int):
     """Every submask of L, from L down to 0."""
     sub = L
@@ -174,11 +161,11 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
     cells[0][1] = [0 if is_red else 1 << (1 << c) for c, is_red in zip(lab, red)]
     entries = m
     for j in range(2, k + 1):
-        for r, b in _level(j - 1, half):
+        for r, b in count_level(j - 1, half):
             acc = _vertex_unions(G.n, ends, cells[r][b])
             near[r][b] = [(acc[u] | acc[v]) & keep[c] for (u, v), c in zip(ends, lab)]
         alive = False
-        for r, b in _level(j, half):
+        for r, b in count_level(j, half):
             row = [0] * m
             for e in range(m):
                 if red[e]:
@@ -190,7 +177,7 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
                 else:
                     rc, bc = r, b - 1
                 cell = near[rc][bc][e]
-                for (r1, b1), (r2, b2) in _splits(rc, bc):
+                for (r1, b1), (r2, b2) in count_splits(rc, bc):
                     if (r1, b1) <= (r2, b2):  # the join is symmetric
                         n1, n2 = near[r1][b1][e], near[r2][b2][e]
                         if n1 and n2:
@@ -224,7 +211,7 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
         if near[rc][bc][e] >> rest & 1:
             stack.append((_holder(cells[rc][bc], G, ends[e], rest), rc, bc, rest))
             continue
-        for (r1, b1), (r2, b2) in _splits(rc, bc):
+        for (r1, b1), (r2, b2) in count_splits(rc, bc):
             n1, n2 = near[r1][b1][e], near[r2][b2][e]
             L1 = next((s for s in _submasks(rest) if n1 >> s & 1 and n2 >> (rest ^ s) & 1),
                       None)
@@ -255,10 +242,10 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
     cells[1][0] = [c if is_red else 0 for c, is_red in zip(base, red)]
     cells[0][1] = [0 if is_red else c for c, is_red in zip(base, red)]
     for j in range(2, k + 1):
-        for r, b in _level(j - 1, half):
+        for r, b in count_level(j - 1, half):
             at[r][b] = _vertex_unions(G.n, ends, cells[r][b])
         alive = False
-        for r, b in _level(j, half):
+        for r, b in count_level(j, half):
             row = [0] * m
             for e in range(m):
                 if red[e]:
@@ -274,7 +261,7 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
                 # u or v a pendant leaf, then a u-side and a v-side subtree
                 cell = ((at[rc][bc][v] & keep[cu]) << (1 << cu)
                         | (at[rc][bc][u] & keep[cv]) << (1 << cv))
-                for (r1, b1), (r2, b2) in _splits(rc, bc):
+                for (r1, b1), (r2, b2) in count_splits(rc, bc):
                     n1, n2 = at[r1][b1][u], at[r2][b2][v]
                     if n1 and n2:
                         cell |= _join(n1, n2, disjoint, keep)
@@ -307,7 +294,7 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
             stack.append((_holder(cells[rc][bc], G, (u,), L ^ bv), rc, bc, L ^ bv))
             continue
         rest = L ^ bu ^ bv
-        for (r1, b1), (r2, b2) in _splits(rc, bc):
+        for (r1, b1), (r2, b2) in count_splits(rc, bc):
             n1, n2 = at[r1][b1][u], at[r2][b2][v]
             s = next((s for s in _submasks(rest) if n1 >> (s | bu) & 1
                       and n2 >> (rest ^ s | bv) & 1), None)
@@ -338,7 +325,7 @@ def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wi
     cells[0][0] = [0] + [1 << (1 << c) for c in lab[1:]]
     for j in range(1, k + 1):
         alive = False
-        for r, b in _level(j, half):
+        for r, b in count_level(j, half):
             from_red = cells[r - 1][b] if r else None
             from_blue = cells[r][b - 1] if b else None
             row = [0] * (n + 1)
@@ -435,12 +422,28 @@ def greedy_hash_family(universe_size: int, k: int) -> tuple:
     return tuple(family)
 
 
-def _dp_for(kind):
-    return {
-        WitnessKind.SUBGRAPH: colorful_bcs_dp,
-        WitnessKind.TREE: colorful_bt_dp,
-        WitnessKind.PATH: colorful_ebp_dp,
-    }[kind]
+def coloring_universe(G: RedBlueGraph, k: int, kind: WitnessKind) -> tuple:
+    """(size, labels): k labels on the edges for subgraphs, k + 1 on the vertices otherwise."""
+    return (G.m, k) if kind is WitnessKind.SUBGRAPH else (G.n, k + 1)
+
+
+def random_labels(rng: random.Random, G: RedBlueGraph, k: int, kind: WitnessKind) -> tuple:
+    """A uniformly random label tuple over kind's coloring universe."""
+    size, labels = coloring_universe(G, k, kind)
+    return tuple(rng.randrange(1, labels + 1) for _ in range(size))
+
+
+def colorful_dp(G: RedBlueGraph, k: int, kind: WitnessKind, labels: tuple) -> Optional[Witness]:
+    """kind's colorful DP under labels over coloring_universe (vertices 1..n).
+
+    Looks the DP up in this module at each call, so a rebound colorful_*_dp is used.
+    """
+    if kind is WitnessKind.SUBGRAPH:
+        return colorful_bcs_dp(G, EdgeColoring(k, labels), k)
+    tau = VertexColoring(k, (0,) + labels)
+    if kind is WitnessKind.TREE:
+        return colorful_bt_dp(G, tau, k)
+    return colorful_ebp_dp(G, tau, k)
 
 
 def _feasible(G: RedBlueGraph, k: int, kind: WitnessKind) -> bool:
@@ -484,15 +487,11 @@ def family_driver(G: RedBlueGraph, k: int, kind: WitnessKind) -> Optional[Witnes
     require_even_k(k)
     if not _feasible(G, k, kind):
         return None
-    universe, labels = (G.m, k) if kind is WitnessKind.SUBGRAPH else (G.n, k + 1)
+    universe, labels = coloring_universe(G, k, kind)
     if universe > _FAMILY_MAX_UNIVERSE or labels > _FAMILY_MAX_LABELS:
         return random_coloring_driver(G, k, kind, _FALLBACK_DELTA, _FALLBACK_SEED)
-    dp = _dp_for(kind)
     for sig in greedy_hash_family(universe, labels):
-        if kind is WitnessKind.SUBGRAPH:
-            w = dp(G, EdgeColoring(k, sig), k)
-        else:
-            w = dp(G, VertexColoring(k, (0,) + sig), k)
+        w = colorful_dp(G, k, kind, sig)
         if w is not None:
             return w
     return None
@@ -517,14 +516,8 @@ def random_coloring_driver(
         return None
     trials = math.ceil(math.exp(k) * math.log(1.0 / failure_prob))
     rng = random.Random(seed)
-    dp = _dp_for(kind)
     for _ in range(trials):
-        if kind is WitnessKind.SUBGRAPH:
-            sig = tuple(rng.randrange(1, k + 1) for _ in range(G.m))
-            w = dp(G, EdgeColoring(k, sig), k)
-        else:
-            sig = (0,) + tuple(rng.randrange(1, k + 2) for _ in range(G.n))
-            w = dp(G, VertexColoring(k, sig), k)
+        w = colorful_dp(G, k, kind, random_labels(rng, G, k, kind))
         if w is not None:
             return w
     return None

@@ -75,7 +75,9 @@ def random_graph(n: int, p: float, seed: int) -> RedBlueGraph:
 
 
 def random_corpus(count: int = 200, max_n: int = 8, base_seed: int = 20240) -> List[RedBlueGraph]:
-    """Seeded random instances with n <= max_n (deterministic in its arguments)."""
+    """Seeded random instances with 4 <= n <= max_n (deterministic in its arguments)."""
+    if max_n < 4:
+        raise ValueError(f"random corpus sizes start at 4 vertices, got max_n {max_n}")
     out = []
     sizes = list(range(4, max_n + 1))
     probs = [0.25, 0.4, 0.55]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Optional
 
 
@@ -195,6 +196,20 @@ def require_even_k(k: int) -> None:
     """k must be a positive even integer >= 2: balanced sets have even size."""
     if not isinstance(k, int) or k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer >= 2, got {k!r}")
+
+
+@lru_cache(maxsize=None)
+def count_level(j: int, half: int) -> tuple:
+    """The (red, blue) counts of j edges with at most half of each color."""
+    return tuple((r, j - r) for r in range(max(0, j - half), min(half, j) + 1))
+
+
+@lru_cache(maxsize=None)
+def count_splits(rc: int, bc: int) -> tuple:
+    """Ordered ((r1, b1), (r2, b2)), both parts nonempty, summing to (rc, bc)."""
+    return tuple(((r1, b1), (rc - r1, bc - b1))
+                 for r1 in range(rc + 1) for b1 in range(bc + 1)
+                 if r1 + b1 and rc - r1 + bc - b1)
 
 
 _COLOR_OF_LETTER = {c.value: c for c in EdgeColor}

@@ -1,4 +1,8 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph
 from bcslab.oracle import all_witness_sets
@@ -139,3 +143,135 @@ def test_gate_sharing():
     g = random_redblue(6, 0.8, 5)
     c = build_circuit_ebcs(g, 4)
     assert len(c.gates) < 12000
+
+
+# sha256 of repr((gates, output, degree_bound, n_tags)) over BUILDER_CORPUS, first
+# 16 hex digits, as the builders with one hand-written loop per tagged sum emitted it
+BUILDER_GOLDEN = {
+    ("ebcs", 2): "79d01338c1537308",
+    ("ebcs", 4): "ec61b4cdd19582bf",
+    ("ebcs", 6): "e3a4d6f0871e4937",
+    ("ebt", 2): "ca9ccbc718ee356c",
+    ("ebt", 4): "2f1d7e67142651cd",
+    ("ebt", 6): "89ee5218c60cd31c",
+    ("ebp", 2): "6335c04b0ae52cb4",
+    ("ebp", 4): "9adf3e06bb1c309c",
+    ("ebp", 6): "e20361a3fae3e0d5",
+}
+BUILDERS = {"ebcs": build_circuit_ebcs, "ebt": build_circuit_ebt, "ebp": build_circuit_ebp}
+
+
+def builder_corpus():
+    return ([random_redblue(n, p, s) for n, p, s in
+             ((5, 0.3, 25), (6, 0.5, 21), (7, 0.45, 22), (7, 0.6, 23), (8, 0.4, 24))]
+            + [path_graph([R, R, R]), path_graph([R, B, B, R, R, B])])
+
+
+@pytest.mark.parametrize("name,k", list(BUILDER_GOLDEN))
+def test_builder_gates_golden(name, k):
+    h = hashlib.sha256()
+    for g in builder_corpus():
+        c = BUILDERS[name](g, k)
+        h.update(repr((c.gates, c.output, c.degree_bound, c.n_tags)).encode())
+    assert h.hexdigest()[:16] == BUILDER_GOLDEN[(name, k)]
+
+
+# Reference analysis: one separate pass over the gates per quantity
+
+
+def ref_var_order(c):
+    order = []
+    for g in c.gates:
+        if g[0] == "in" and g[1][0] != "t" and g[1] not in order:
+            order.append(g[1])
+    return order
+
+
+def ref_degrees(c):
+    deg = []
+    for g in c.gates:
+        if g[0] == "mul":
+            deg.append(deg[g[1]] + deg[g[2]])
+        elif g[0] == "add":
+            deg.append(max(deg[g[1]], deg[g[2]]))
+        else:
+            deg.append(1 if g[0] == "in" and g[1][0] != "t" else 0)
+    return deg
+
+
+def ref_homogeneous_degree(c):
+    deg = ref_degrees(c)
+    for g in c.gates:
+        if g[0] == "add" and deg[g[1]] != deg[g[2]]:
+            return None
+    return deg[c.output]
+
+
+def ref_last_uses(c):
+    last = list(range(len(c.gates)))
+    for gid, g in enumerate(c.gates):
+        if g[0] in ("add", "mul"):
+            last[g[1]] = gid
+            last[g[2]] = gid
+    return last
+
+
+def ref_tag_side(c):
+    def is_tag(i):
+        return c.gates[i][0] == "in" and c.gates[i][1][0] == "t"
+
+    return [0 if g[0] != "mul" else 1 if is_tag(g[1]) else 2 if is_tag(g[2]) else 0
+            for g in c.gates]
+
+
+def check_analysis(c):
+    assert list(c.var_index) == ref_var_order(c)
+    assert list(c.var_index.values()) == list(range(len(c.var_index)))
+    assert c.degrees() == ref_degrees(c)
+    assert c.homogeneous_degree == ref_homogeneous_degree(c)
+    last = ref_last_uses(c)
+    last[c.output] = len(c.gates)  # the output outlives every gate
+    assert c.last_use == last
+    assert c.tag_side == ref_tag_side(c)
+
+
+def test_builder_analysis_matches_reference():
+    for g in builder_corpus()[:4]:
+        for build in BUILDERS.values():
+            for k in (2, 4):
+                check_analysis(build(g, k))
+
+
+@pytest.mark.parametrize("gates,out", [
+    # mixed degrees: x1 * x2 + x1
+    ([("in", ("x", 1)), ("in", ("x", 2)), ("mul", 0, 1), ("add", 2, 0)], 3),
+    # constants and a tag on either side of a multiply
+    ([("c1",), ("in", ("t", 0)), ("mul", 1, 0), ("c0",), ("mul", 3, 1), ("add", 2, 4)], 5),
+    # a repeated variable gate, a square and an unread gate
+    ([("in", ("y", 3)), ("in", ("x", 0)), ("in", ("y", 3)), ("mul", 0, 2), ("mul", 3, 3)], 4),
+    # the output read by a later gate
+    ([("in", ("x", 1)), ("in", ("t", 0)), ("mul", 0, 1), ("add", 2, 2)], 2),
+])
+def test_hand_made_analysis_matches_reference(gates, out):
+    check_analysis(Circuit(tuple(gates), out, 2, 1))
+
+
+@st.composite
+def circuits(draw):
+    gates = []
+    for gid in range(draw(st.integers(1, 30))):
+        ops = ["in", "c0", "c1"] + (["add", "mul"] if gid else [])
+        op = draw(st.sampled_from(ops))
+        if op == "in":
+            gates.append(("in", (draw(st.sampled_from("xyt")), draw(st.integers(0, 3)))))
+        elif op in ("add", "mul"):
+            gates.append((op, draw(st.integers(0, gid - 1)), draw(st.integers(0, gid - 1))))
+        else:
+            gates.append((op,))
+    return Circuit(tuple(gates), draw(st.integers(0, len(gates) - 1)), 4, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits())
+def test_random_circuit_analysis_matches_reference(c):
+    check_analysis(c)

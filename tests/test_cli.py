@@ -137,6 +137,21 @@ def test_bench_empty_family(capsys):
     assert code == 0 and out.strip() == "algo,kind,k,n,m,median_ms,runs"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--algo", "repsets", "--runs", "0"], "at least one run"),
+    (["--algo", "algebraic", "--trials", "0"], "at least one trial"),
+])
+def test_bench_without_work_exit_two(capsys, flags, message):
+    assert main(["bench", "--kind", "path", "--ks", "2", "--n", "6"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_crosscheck_random_below_four_vertices_exit_two(capsys):
+    assert main(["crosscheck", "--random", "2", "--random-n", "3"]) == 2
+    assert "max_n" in capsys.readouterr().err
+
+
 def test_bad_graph_file_exit_two(tmp_path):
     p = tmp_path / "bad.graph"
     p.write_text("graph 2 1\ne 1 2 X\n")

@@ -43,6 +43,41 @@ def test_degree_bound_checked():
         detect_multilinear(C_X1X2, 1, 32, 4, 1)
 
 
+def test_run_trials_needs_a_trial():
+    with pytest.raises(ValueError):
+        run_trials(C_X1X2, 2, 64, 0, seed=1)
+
+
+class _CountingGates(tuple):
+    """A gate tuple that counts the passes made over it."""
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_detect_makes_no_pass_besides_evaluation():
+    # a star has relaxed walks with two red and two blue edges but no path of
+    # four edges, so both batches of trials run and find nothing
+    star = parse_graph("graph 5 4\ne 1 2 R\ne 1 3 R\ne 1 4 B\ne 1 5 B\n")
+    c = build_circuit_ebp(star, 4)
+    assert c.homogeneous_degree == 5 and c.gates[c.output][0] != "c0"
+    gates = _CountingGates(c.gates)
+    gates.passes = 0
+    object.__setattr__(c, "gates", gates)
+    assert not detect_multilinear(c, 5, 16, 4, seed=1)
+    assert gates.passes == 2  # one evaluation walk per run_trials call
+
+
+def test_output_read_by_a_later_gate():
+    # the walk keeps the output's value past the last gate that reads it
+    from bcslab.algebra.circuits import expand_multilinear
+
+    c = _tiny([("in", ("x", 1)), ("in", ("x", 2)), ("mul", 0, 1), ("add", 2, 2)], 2, 2)
+    assert run_trials(c, 2, 64, 4, seed=1).all()
+    assert expand_multilinear(c, 2) == {frozenset({("x", 1), ("x", 2)}): 1}
+
+
 def test_detect_deterministic():
     flags1 = run_trials(C_X1X2, 2, 64, 8, seed=42)
     flags2 = run_trials(C_X1X2, 2, 64, 8, seed=42)
@@ -52,11 +87,11 @@ def test_detect_deterministic():
 def test_fast_path_matches_exact_ranked_path():
     # same substitution through the vectorized engine and through exact
     # per-gate subset convolution over GroupAlgebraElement
-    from bcslab.algebra.mldetect import _eval_exact, _eval_fast, _is_homogeneous
+    from bcslab.algebra.mldetect import _eval_exact, _eval_fast
 
     g = random_redblue(5, 0.6, 31)
     c = build_circuit_ebp(g, 2)
-    assert _is_homogeneous(c) == 3
+    assert c.homogeneous_degree == 3
     sub = draw_substitution(5 + 1, max(1, c.n_tags), 3, 16, seed=9, batch=4)
     fast = _eval_fast(c, sub) != 0
     exact = _eval_exact(c, sub).any(axis=1)
@@ -68,11 +103,11 @@ def test_fast_path_matches_exact_ranked_path():
 def test_exact_top_coefficient_equals_fast_value(kind, ell):
     # both paths evaluate in the same field, so the exact path's full-mask
     # coefficient is the fast path's value, not just its zero pattern
-    from bcslab.algebra.mldetect import _BUILDERS, _eval_exact, _eval_fast, _index_vars
+    from bcslab.algebra.mldetect import _BUILDERS, _eval_exact, _eval_fast
 
     build, extra = _BUILDERS[kind]
     c = build(random_redblue(5, 0.6, 31), 2)
-    sub = draw_substitution(len(_index_vars(c)[1]), c.n_tags, 2 + extra, ell, seed=9, batch=4)
+    sub = draw_substitution(len(c.var_index), c.n_tags, 2 + extra, ell, seed=9, batch=4)
     fast = _eval_fast(c, sub)
     exact = _eval_exact(c, sub)
     assert exact.shape == (4, 1 << (2 + extra))
@@ -129,12 +164,12 @@ def test_exact_path_detects_lower_degree_monomial():
 
 
 def test_exact_path_constants_are_rank_zero():
-    from bcslab.algebra.mldetect import _eval_exact, _is_homogeneous
+    from bcslab.algebra.mldetect import _eval_exact
 
     # x1 + 1 + 0 mixes degrees 1 and 0, so it takes the exact path
     c = _tiny([("in", ("x", 1)), ("c1",), ("add", 0, 1), ("c0",), ("add", 2, 3)], 4, 1)
     assert c.degrees() == [1, 0, 1, 0, 1]
-    assert _is_homogeneous(c) is None and _is_homogeneous(C_SUM) == 2
+    assert c.homogeneous_degree is None and C_SUM.homogeneous_degree == 2
     sub = draw_substitution(1, 1, 2, 64, seed=3, batch=2)
     out = _eval_exact(c, sub)
     assert out[:, 0].tolist() == [1, 1]
@@ -179,13 +214,13 @@ def _golden_circuit(name, gseed):
 def test_golden_decisions(ell):
     import hashlib
 
-    from bcslab.algebra.mldetect import _eval_fast, _index_vars
+    from bcslab.algebra.mldetect import _eval_fast
 
     for (name, gseed, seed), (flags, digest) in _GOLDEN[ell].items():
         c, k_dim = _golden_circuit(name, gseed)
         got = run_trials(c, k_dim, ell, 8, seed)
         assert "".join("1" if f else "0" for f in got) == flags, (name, gseed, seed)
-        sub = draw_substitution(len(_index_vars(c)[1]), c.n_tags, k_dim, ell, seed, 8)
+        sub = draw_substitution(len(c.var_index), c.n_tags, k_dim, ell, seed, 8)
         vals = _eval_fast(c, sub)
         assert hashlib.sha256(vals.astype("<u8").tobytes()).hexdigest()[:16] == digest
     # the same graph has no balanced witness of any kind at k = 4

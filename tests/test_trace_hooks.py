@@ -1,0 +1,70 @@
+"""The benchmark's tracer rebinds package names at install time
+(perfbench/tracing.py). A caller that binds one of them early escapes the
+trace, and the per-layer metrics silently read zero; these tests catch that
+in the test suite rather than in the benchmark's numbers."""
+import importlib.util
+from pathlib import Path
+
+from bcslab import colorcoding
+from bcslab.algebra import mldetect
+from bcslab.graphs import WitnessKind, parse_graph
+
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced(fn, args):
+    """Each fn(arg) as one root op: the spans, and per op the leaf and span
+    names recorded under it, with their call counts."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        results = [tracer.root(fn, a) for a in args]
+    finally:
+        tracer.uninstall()
+    ops = []
+    for op in [s for s in tracer.spans if s["name"] == tracing.ROOT]:
+        ids, calls = {op["id"]}, {}
+        for s in tracer.spans:
+            if s["parent"] in ids:
+                ids.add(s["id"])
+                calls[s["name"]] = calls.get(s["name"], 0) + 1
+                for name, agg in s["leaves"].items():
+                    calls[name] = calls.get(name, 0) + agg["calls"]
+        ops.append(calls)
+    return results, ops
+
+
+# a balanced path R B R B, and a star with two red and two blue edges whose
+# relaxed walks give a nonzero circuit but which has no path of four edges
+YES = parse_graph("graph 5 4\ne 1 2 R\ne 2 3 B\ne 3 4 R\ne 4 5 B\n")
+NO = parse_graph("graph 5 4\ne 1 2 R\ne 1 3 R\ne 1 4 B\ne 1 5 B\n")
+
+
+def test_tracer_records_the_algebraic_layers():
+    answers, ops = _traced(lambda g: mldetect.randomized_solve(
+        g, 4, WitnessKind.PATH, trials=4, seed=1, ell=16), [YES, NO])
+    assert [a.yes for a in answers] == [True, False]
+    build, _ = mldetect._BUILDERS[WitnessKind.PATH]
+    # the first trial decides YES; NO runs both batches
+    for g, runs, calls in zip((YES, NO), (1, 2), ops):
+        muls = sum(1 for gate in build(g, 4).gates if gate[0] == "mul")
+        assert calls["mldetect.randomized_solve"] == calls["circuits.build"] == 1
+        assert calls["mldetect.run_trials"] == calls["mldetect.draw_substitution"] == runs
+        assert calls["field.mul"] == runs * muls  # every multiply goes through VecGF
+
+
+def test_tracer_records_the_colorful_dps():
+    # colorful_dp must look the DPs up in the module, where the tracer rebinds them
+    kinds = list(WitnessKind)
+    found, ops = _traced(lambda kind: colorcoding.random_coloring_driver(YES, 4, kind, 0.1, 1),
+                         kinds)
+    assert all(w is not None for w in found)
+    assert all(calls.get("colorcoding.dp", 0) >= 1 for calls in ops)
