@@ -24,16 +24,22 @@ variables), so coefficients survive characteristic 2 under random tag values.
 With every tag set to one the polynomial is exactly the untagged recurrence
 over the non-negative integers, which is what the symbolic expansion checks.
 
-A Circuit is analysed once, when it is constructed: the same pass that checks
-the gate references numbers the structural variables, takes every gate's
-degree and last use and marks the multiplies by a tag. `walk` then evaluates
-a circuit in one loop over its gates for any choice of value rules; the
-sieve, its exact reference and `expand_multilinear` all go through it.
+A Circuit is analysed once, when it is constructed. The pass that checks the
+gate references numbers the structural variables, takes every gate's degree
+and last use and marks the multiplies by a tag. `walk` evaluates a circuit in
+one loop over its gates for any choice of value rules; the exact evaluator
+and `expand_multilinear` go through it. A second pass, from the output down,
+builds the sieve's level schedule (`Schedule`): only the gates the output
+reads, grouped by level into general multiplies, multiplies by a tag and
+sums, with add chains flattened into one sum each and value slots reused
+once a value's last reader has run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional
+
+import numpy as np
 
 from ..graphs import EdgeColor, RedBlueGraph, count_splits, require_even_k
 
@@ -47,11 +53,12 @@ class Circuit:
     are scalar fingerprints of degree 0; degree_bound dominates the structural
     degree of every monomial.
 
-    Construction also stores, in one pass: var_index, each structural
-    variable's number in order of first appearance; last_use[g], the last
-    gate that reads g (g if none does, len(gates) for the output); tag_side[g],
-    1 or 2 when that operand of multiply g is a tag input, else 0; and
-    homogeneous_degree, the output degree if every add joins equal degrees.
+    Construction also stores var_index, each structural variable's number in
+    order of first appearance; last_use[g], the last gate that reads g (g if
+    none does, len(gates) for the output); tag_side[g], 1 or 2 when that
+    operand of multiply g is a tag input, else 0; homogeneous_degree, the
+    output degree if every add joins equal degrees; and schedule, the sieve's
+    level schedule.
     """
 
     gates: tuple
@@ -62,6 +69,7 @@ class Circuit:
     last_use: list = field(init=False, repr=False, compare=False)
     tag_side: list = field(init=False, repr=False, compare=False)
     homogeneous_degree: Optional[int] = field(init=False, repr=False, compare=False)
+    schedule: "Schedule" = field(init=False, repr=False, compare=False)
     _degrees: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,7 +88,7 @@ class Circuit:
             op = g[0]
             if op == "mul":
                 _, i, j = g
-                if i >= gid or j >= gid:
+                if not (0 <= i < gid and 0 <= j < gid):
                     raise ValueError("gate references must precede the gate")
                 last[i] = last[j] = gid
                 deg[gid] = deg[i] + deg[j]
@@ -90,7 +98,7 @@ class Circuit:
                     side[gid] = 2
             elif op == "add":
                 _, i, j = g
-                if i >= gid or j >= gid:
+                if not (0 <= i < gid and 0 <= j < gid):
                     raise ValueError("gate references must precede the gate")
                 last[i] = last[j] = gid
                 a, b = deg[i], deg[j]
@@ -111,10 +119,165 @@ class Circuit:
         put(self, "tag_side", side)
         put(self, "homogeneous_degree", deg[self.output] if homogeneous else None)
         put(self, "_degrees", deg)
+        put(self, "schedule", _schedule(gates, self.output, side, var_index))
 
     def degrees(self) -> list:
         """Structural degree of every gate; tags and constants have degree 0."""
         return self._degrees
+
+
+MUL, TAG_MUL, SUM = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """The gates the output reads, grouped by level and kind, over a buffer of
+    n_slots value slots.
+
+    Slots 0 .. len(leaves) - 1 hold the structural variables numbered leaves
+    (c.var_index numbers); each fill (slot, kind, index) holds a tag ('t', s)
+    or a constant ('c', bit) that a gate reads as a value. A step
+    (kind, out, a, b) sets slot out[g] for every g:
+
+    * MUL: the product of slots a[g] and b[g];
+    * TAG_MUL: the product of slot a[g] and tag b[g];
+    * SUM: the XOR of slots a[b[g]:b[g + 1]], at least two of them.
+
+    Steps come level by level and a step reads only values of lower levels. A
+    slot is given to a new value only after the level of its old value's last
+    reader, so the steps of one level may run in any order, stacked or split.
+    `output` is the slot that ends up holding the output.
+    """
+
+    n_slots: int
+    leaves: np.ndarray
+    fills: tuple
+    steps: tuple
+    output: int
+
+
+def _schedule(gates: tuple, out: int, side: list, var_index: dict) -> Schedule:
+    """Level the gates the output reads (Circuit.__post_init__ has checked them).
+
+    One pass from the output down, so that a gate is reached after every gate
+    that reads it. A gate's height is one more than its highest reader's, the
+    output's is 0, and the levels run from the greatest height down: each
+    value is made just before its first reader needs it. An add read by one
+    add and nothing else is absorbed into that add's term list, so a chain or
+    tree of adds is one sum. A tag read as a multiplier's scalar side is not a
+    value and gets no slot.
+    """
+    reads = [0] * (out + 1)  # 1 per add reading the gate, 2 per multiply
+    height = [0] * (out + 1)
+    last = [out + 1] * (out + 1)  # the height of the gate's last reader
+    owner: Dict[int, list] = {}  # an add's operand -> that add's term list
+    # per height: MUL and TAG_MUL entries flat (gate, operand, operand or tag),
+    # SUM entries (gate, term gates), and the values whose last reader is there
+    levels: List[tuple] = []
+    leaves: List[int] = []
+    fills: List[int] = []
+    reads[out] = 2
+    last[out] = -1
+    for gid in range(out, -1, -1):
+        r = reads[gid]
+        if not r:
+            continue
+        g = gates[gid]
+        op = g[0]
+        if op == "add" and r == 1:
+            # absorbed: its operands join the sum of the add that reads it
+            e = height[gid] - 1
+            terms = owner[gid]
+        else:
+            if last[gid] >= 0:
+                levels[last[gid]][3].append(gid)
+            if op != "mul" and op != "add":
+                (leaves if op == "in" and g[1][0] != "t" else fills).append(gid)
+                continue
+            e = height[gid]
+            if e == len(levels):
+                levels.append(([], [], [], []))
+            if op == "mul":
+                s = side[gid]
+                if s:
+                    levels[e][TAG_MUL].extend((gid, g[3 - s], gates[g[s]][1][1]))
+                    operands = (g[3 - s],)
+                else:
+                    levels[e][MUL].extend((gid, g[1], g[2]))
+                    operands = (g[1], g[2])
+                for x in operands:
+                    reads[x] += 2
+                    if height[x] <= e:
+                        height[x] = e + 1
+                    if last[x] > e:
+                        last[x] = e
+                continue
+            terms = []
+            levels[e][SUM].append((gid, terms))
+        for x in (g[1], g[2]):
+            reads[x] += 1
+            if height[x] <= e:
+                height[x] = e + 1
+            if last[x] > e:
+                last[x] = e
+            terms.append(x)
+            owner[x] = terms
+    # slots, level by level: a slot freed after one level is reused from the next
+    slot = [-1] * (out + 1)
+    n_slots = 0
+    for gid in leaves + fills:
+        slot[gid] = n_slots
+        n_slots += 1
+    free: List[int] = []
+    flat: tuple = ([], [], [])  # MUL and TAG_MUL entries and SUM term gates, level by level
+    sum_out, sum_len = [], []
+    spans = []  # (kind, first entry, end)
+    for muls, tag_muls, sums, dying in reversed(levels):
+        for kind, outs in ((MUL, muls[::3]), (TAG_MUL, tag_muls[::3]),
+                           (SUM, [v for v, _ in sums])):
+            if not outs:
+                continue
+            for v in outs:
+                if free:
+                    slot[v] = free.pop()
+                else:
+                    slot[v] = n_slots
+                    n_slots += 1
+            if kind == SUM:
+                spans.append((SUM, len(sum_out), len(sum_out) + len(outs)))
+                sum_out += outs
+                for _, terms in sums:
+                    sum_len.append(len(terms))
+                    flat[SUM].extend(terms)
+            else:
+                lo = len(flat[kind]) // 3
+                spans.append((kind, lo, lo + len(outs)))
+                flat[kind].extend(muls if kind == MUL else tag_muls)
+        free += [slot[v] for v in dying]
+    at = np.array(slot, dtype=np.intp)
+    muls = at[np.array(flat[MUL], dtype=np.intp).reshape(-1, 3).T]
+    tag_muls = np.array(flat[TAG_MUL], dtype=np.intp).reshape(-1, 3).T
+    tag_muls[:2] = at[tag_muls[:2]]
+    sum_slots = at[np.array(sum_out, dtype=np.intp)]
+    # absorbed adds have no slot: drop them from the term lists
+    terms = at[np.array(flat[SUM], dtype=np.intp)]
+    kept = terms >= 0
+    starts = np.zeros(len(sum_len) + 1, dtype=np.intp)
+    if sum_len:
+        first = np.cumsum([0] + sum_len[:-1])
+        np.cumsum(np.add.reduceat(kept, first, dtype=np.intp), out=starts[1:])
+    terms = terms[kept]
+    steps = []
+    for kind, lo, hi in spans:
+        if kind == SUM:
+            steps.append((SUM, sum_slots[lo:hi], terms, starts[lo : hi + 1]))
+        else:
+            m = muls if kind == MUL else tag_muls
+            steps.append((kind, m[0, lo:hi], m[1, lo:hi], m[2, lo:hi]))
+    return Schedule(n_slots, np.array([var_index[gates[v][1]] for v in leaves], dtype=np.intp),
+                    tuple((slot[v], "t", gates[v][1][1]) if gates[v][0] == "in"
+                          else (slot[v], "c", gates[v][0] == "c1") for v in fills),
+                    tuple(steps), slot[out])
 
 
 def walk(c: Circuit, var: Callable, tag: Callable, const: Callable, add: Callable,

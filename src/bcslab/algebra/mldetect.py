@@ -15,21 +15,39 @@ subset-zeta vector and a product is a single pointwise field multiplication:
 lower-rank junk introduced by overlapping unions can never reach the full
 mask, whose Moebius coefficient (the XOR of the whole vector) is therefore
 the exact top-rank ring coefficient. Other circuits fall back to exact
-ranked subset convolution per gate.
+ranked subset convolution per gate, through `circuits.walk`.
 
-Both evaluators supply only value rules to `circuits.walk` and read the
-variable numbering and homogeneous degree stored when the circuit was built,
-so a `run_trials` call makes no pass over the gates besides the evaluation.
+The fast path runs the level schedule built with the circuit
+(`Circuit.schedule`) in one buffer of value slots, each (P, B, 2^K) limb
+planes. A group of a level, its general multiplies, its multiplies by a
+GF(2^16) tag or its sums, is one stacked `VecGF.mul`, one `mul_scalar16` or
+one XOR-reduce over gathered operands. No call gathers more than a fixed
+byte budget per operand. A multiply group that exceeds it is split into
+several calls, and where one gate's vectors alone fill it (B = 31 at K = 9)
+the gates run one at a time on slot views. A sum group that
+exceeds it is XORed in place, term by term. Small circuits are then a few
+calls per level instead of one per gate, and wide vectors cost what the
+per-gate walk cost. Nothing is analysed per call, so a `run_trials` call
+makes no pass over the gates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from ..graphs import RedBlueGraph, Witness, WitnessKind, require_even_k, validate_witness
-from .circuits import Circuit, build_circuit_ebcs, build_circuit_ebt, build_circuit_ebp, walk
+from .circuits import (
+    MUL,
+    SUM,
+    Circuit,
+    build_circuit_ebcs,
+    build_circuit_ebp,
+    build_circuit_ebt,
+    walk,
+)
 from .field import VecGF
 from .group_algebra import Backend, Basis, GroupAlgebraElement, ga_multiply
 
@@ -60,35 +78,75 @@ def draw_substitution(
     return Substitution(k_dim, ell, vectors, tags)
 
 
+# Bytes of limb planes one stacked call may gather per operand. A larger
+# group is split into calls of this size, and where one gate's vectors alone
+# fill it the gates run one at a time on slot views, sums XORed in place.
+# At l = 64 a field multiply's temporaries take about 25 times its operand
+# bytes, so one call's working set stays under 1 MB, within a 2 MB L2 cache.
+_BUDGET = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _field(ell: int) -> VecGF:
+    return VecGF(ell)
+
+
 def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
-    """(B,) output top-rank coefficients for homogeneous circuits."""
+    """(B,) output top-rank coefficients for homogeneous circuits, by running
+    c.schedule on subset-zeta vectors of shape (B, 2^K)."""
     K = sub.k_dim
     B = sub.vectors.shape[0]
-    vf = VecGF(sub.ell)
-    # values are field vectors over the trailing axes (B, 2^K); constants and
-    # tags are (B, 1) and broadcast
-    vectors = vf.to_planes(sub.vectors)
-    tags = vf.to_planes(sub.tags)
-    consts = (vf.to_planes(np.zeros((B, 1), dtype=np.uint64)),
-              vf.to_planes(np.ones((B, 1), dtype=np.uint64)))
-
-    def leaf_vec(i):
-        cv = vectors[..., i, :]
-        z = np.zeros(cv.shape[:-1] + (1 << K,), dtype=cv.dtype)
-        for j in range(K):
-            blk = 1 << j
-            z[..., blk : 2 * blk] = z[..., :blk] ^ cv[..., j : j + 1]
-        return z
-
-    def mul(a, b, scalar):
-        return vf.mul_scalar16(a, b) if scalar else vf.mul(a, b)
-
-    out = walk(c, leaf_vec, lambda s: tags[..., s : s + 1], consts.__getitem__,
-               np.bitwise_xor, mul)
-    if out.shape[-1] == 1:
-        # constant circuit: degree 0 means no monomial of positive degree
+    if K == 0:
+        # degree 0: no monomial of positive degree
         return np.zeros(B, dtype=np.uint64)
-    return vf.from_planes(np.bitwise_xor.reduce(out, axis=-1))
+    sch = c.schedule
+    vf = _field(sub.ell)
+    # slot s holds limb planes buf[s] of shape (P, B, 2^K)
+    buf = np.empty((sch.n_slots, sub.ell // 16, B, 1 << K), dtype=np.uint16)
+    # the variables' subset-zeta vectors: entry S is the XOR of coefficients j in S
+    z = buf[: len(sch.leaves)]
+    cv = vf.to_planes(sub.vectors[:, sch.leaves, :].transpose(1, 0, 2)).transpose(1, 0, 2, 3)
+    z[..., 0] = 0
+    for j in range(K):
+        blk = 1 << j
+        np.bitwise_xor(z[..., :blk], cv[..., j : j + 1], out=z[..., blk : 2 * blk])
+    # tags and constants are constant vectors: (P, ntags, B, 1) broadcasts
+    tags = vf.to_planes(sub.tags.T[..., None])
+    for slot, kind, x in sch.fills:
+        buf[slot] = tags[:, x] if kind == "t" else 0
+        if kind == "c" and x:
+            buf[slot, 0] = 1
+    # sums XOR the same bytes in words of up to 64 bits
+    xv = buf.view(np.uint64 if K >= 2 else np.uint32)
+    chunk = _BUDGET // buf[0].nbytes
+    mul, mul16, xor = vf.mul, vf.mul_scalar16, np.bitwise_xor
+    for kind, out, a, b in sch.steps:
+        if kind == SUM:
+            lo, hi = int(b[0]), int(b[-1])
+            if hi - lo <= chunk:
+                xv[out] = xor.reduceat(xv[a[lo:hi]], b[:-1] - lo)
+                continue
+            # too many terms to gather: XOR each into its sum's slot in place
+            for o, first, end in zip(out.tolist(), b[:-1].tolist(), b[1:].tolist()):
+                terms = a[first:end].tolist()
+                acc = xv[o]
+                xor(xv[terms[0]], xv[terms[1]], out=acc)
+                for t in terms[2:]:
+                    xor(acc, xv[t], out=acc)
+        elif chunk <= 1:
+            if kind == MUL:
+                for o, x, y in zip(out.tolist(), a.tolist(), b.tolist()):
+                    buf[o] = mul(buf[x], buf[y])
+            else:
+                for o, x, t in zip(out.tolist(), a.tolist(), b.tolist()):
+                    buf[o] = mul16(buf[x], tags[:, t])
+        else:
+            for s in range(0, len(out), chunk):
+                # gathered as (g, P, B, 2^K); the field wants the limb axis first
+                x, y = buf[a[s : s + chunk]].swapaxes(0, 1), b[s : s + chunk]
+                p = mul(x, buf[y].swapaxes(0, 1)) if kind == MUL else mul16(x, tags[:, y])
+                buf[out[s : s + chunk]] = p.swapaxes(0, 1)
+    return vf.from_planes(xor.reduce(buf[sch.output], axis=-1))
 
 
 def _eval_exact(c: Circuit, sub: Substitution) -> np.ndarray:

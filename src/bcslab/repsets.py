@@ -188,7 +188,9 @@ def solve_ebp_repsets(
     k_cap = k + 1
 
     fam = {}  # (u, v, r, b) -> SetFamily
+    ends = {}  # (r, b) -> the (u, v) with a family, so a level visits only their extensions
     wedges = {}  # mask -> minor vector, for this k_cap and field
+    red = [G.color(ei) is EdgeColor.RED for ei in range(G.m)]
 
     def put(u, v, r, b, pairs):
         # dedupe masks, first witness wins, insertion order by construction
@@ -197,41 +199,38 @@ def solve_ebp_repsets(
             if mask not in seen:
                 seen[mask] = wit
         cand = SetFamily(G.n, r + b + 1, tuple((m, w) for m, w in seen.items()))
-        red = reduce_family(cand, k_cap, cfg, wedges=wedges)
+        reduced = reduce_family(cand, k_cap, cfg, wedges=wedges)
         if record is not None:
-            record.append((u, v, r, b, cand, red))
-        if red.sets:
-            fam[(u, v, r, b)] = red
+            record.append((u, v, r, b, cand, reduced))
+        if reduced.sets:
+            fam[(u, v, r, b)] = reduced
+            ends.setdefault((r, b), []).append((u, v))
 
     for ei in range(G.m):
-        u, v, c = G.edges[ei]
+        u, v, _ = G.edges[ei]
         for a, bnd in ((u, v), (v, u)):
-            key = (a, bnd, 1, 0) if c is EdgeColor.RED else (a, bnd, 0, 1)
-            mask = (1 << a) | (1 << bnd)
-            fam[key] = SetFamily(G.n, 2, ((mask, (a, bnd)),))
+            rb = (1, 0) if red[ei] else (0, 1)
+            fam[(a, bnd) + rb] = SetFamily(G.n, 2, (((1 << a) | (1 << bnd), (a, bnd)),))
+            ends.setdefault(rb, []).append((a, bnd))
 
     for j in range(2, k + 1):
         for r in range(max(0, j - half), min(half, j) + 1):
             b = j - r
-            for u in range(1, G.n + 1):
-                for v in range(1, G.n + 1):
-                    if u == v:
-                        continue
-                    pairs = []
-                    for w, ei in G.adjacency[v]:
-                        if G.color(ei) is EdgeColor.RED:
-                            rc, bc = r - 1, b
-                        else:
-                            rc, bc = r, b - 1
-                        if rc < 0 or bc < 0:
-                            continue
-                        prev = fam.get((u, w, rc, bc))
-                        if prev is None:
-                            continue
-                        ext = convolve_extend(prev, v)
-                        pairs.extend(ext.sets)
-                    if pairs:
-                        put(u, v, r, b, pairs)
+            # a u-v path of this level ends in an edge w-v after a u-w path of
+            # the last one; visit (u, v) in the order of the full double loop
+            targets = set()
+            for rb, by_red in (((r - 1, b), True), ((r, b - 1), False)):
+                for u, w in ends.get(rb, ()):
+                    targets.update((u, v) for v, ei in G.adjacency[w]
+                                   if red[ei] is by_red and v != u)
+            for u, v in sorted(targets):
+                pairs = []
+                for w, ei in G.adjacency[v]:
+                    prev = fam.get((u, w, r - 1, b) if red[ei] else (u, w, r, b - 1))
+                    if prev is not None:
+                        pairs.extend(convolve_extend(prev, v).sets)
+                if pairs:
+                    put(u, v, r, b, pairs)
 
     for u in range(1, G.n + 1):
         for v in range(1, G.n + 1):

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import strategies as st
+
+from bcslab.algebra.circuits import Circuit
 from bcslab.graphs import EdgeColor, RedBlueGraph
 
 R = EdgeColor.RED
@@ -22,3 +25,20 @@ def random_redblue(n, p, seed):
             if rng.random() < p:
                 edges.append((a, b, R if rng.random() < 0.5 else B))
     return RedBlueGraph(n, tuple(edges))
+
+
+@st.composite
+def random_circuits(draw):
+    """Circuits of up to 30 random gates over variables x0..x3, y0..y3 and
+    tags t0..t3, with any output."""
+    gates = []
+    for gid in range(draw(st.integers(1, 30))):
+        ops = ["in", "c0", "c1"] + (["add", "mul"] if gid else [])
+        op = draw(st.sampled_from(ops))
+        if op == "in":
+            gates.append(("in", (draw(st.sampled_from("xyt")), draw(st.integers(0, 3)))))
+        elif op in ("add", "mul"):
+            gates.append((op, draw(st.integers(0, gid - 1)), draw(st.integers(0, gid - 1))))
+        else:
+            gates.append((op,))
+    return Circuit(tuple(gates), draw(st.integers(0, len(gates) - 1)), 4, 4)

@@ -2,7 +2,6 @@ import hashlib
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph
 from bcslab.oracle import all_witness_sets
@@ -15,7 +14,7 @@ from bcslab.algebra.circuits import (
     expand_multilinear,
 )
 
-from conftest import B, R, path_graph, random_redblue
+from conftest import B, R, path_graph, random_circuits, random_redblue
 
 TRI = parse_graph("graph 3 3\ne 1 2 R\ne 2 3 B\ne 1 3 R\n")
 
@@ -119,6 +118,12 @@ def test_circuit_validation():
         Circuit((("add", 0, 1), ("c0",)), 0, 1, 0)  # forward reference
     with pytest.raises(ValueError):
         Circuit((("c0",),), 5, 1, 0)  # output out of range
+    # a negative reference would read a gate from the end of the list
+    for op in ("add", "mul"):
+        with pytest.raises(ValueError):
+            Circuit((("in", ("x", 1)), (op, -1, 0)), 1, 1, 0)
+        with pytest.raises(ValueError):
+            Circuit((("in", ("x", 1)), (op, 0, -2)), 1, 1, 0)
 
 
 def test_circuit_degrees_and_bound():
@@ -256,22 +261,7 @@ def test_hand_made_analysis_matches_reference(gates, out):
     check_analysis(Circuit(tuple(gates), out, 2, 1))
 
 
-@st.composite
-def circuits(draw):
-    gates = []
-    for gid in range(draw(st.integers(1, 30))):
-        ops = ["in", "c0", "c1"] + (["add", "mul"] if gid else [])
-        op = draw(st.sampled_from(ops))
-        if op == "in":
-            gates.append(("in", (draw(st.sampled_from("xyt")), draw(st.integers(0, 3)))))
-        elif op in ("add", "mul"):
-            gates.append((op, draw(st.integers(0, gid - 1)), draw(st.integers(0, gid - 1))))
-        else:
-            gates.append((op,))
-    return Circuit(tuple(gates), draw(st.integers(0, len(gates) - 1)), 4, 4)
-
-
 @settings(max_examples=300, deadline=None)
-@given(circuits())
+@given(random_circuits())
 def test_random_circuit_analysis_matches_reference(c):
     check_analysis(c)

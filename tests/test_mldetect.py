@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mldetect_reference as ref
 from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph, validate_witness
 from bcslab.oracle import oracle_solve
 from bcslab.algebra.circuits import Circuit, build_circuit_ebp
 from bcslab.algebra.group_algebra import Basis, GroupAlgebraElement
 from bcslab.algebra.mldetect import (
+    _BUILDERS,
     RandomizedAnswer,
+    _eval_fast,
     detect_multilinear,
     draw_substitution,
     randomized_solve,
     run_trials,
 )
 
-from conftest import B, R, path_graph, random_redblue
+from conftest import B, R, path_graph, random_circuits, random_redblue
 
 TRI = parse_graph("graph 3 3\ne 1 2 R\ne 2 3 B\ne 1 3 R\n")
 
@@ -66,7 +71,7 @@ def test_detect_makes_no_pass_besides_evaluation():
     gates.passes = 0
     object.__setattr__(c, "gates", gates)
     assert not detect_multilinear(c, 5, 16, 4, seed=1)
-    assert gates.passes == 2  # one evaluation walk per run_trials call
+    assert gates.passes == 0  # both batches run the schedule built with the circuit
 
 
 def test_output_read_by_a_later_gate():
@@ -228,3 +233,104 @@ def test_golden_decisions(ell):
         c, k_dim = _golden_circuit(name, 103)
         for seed in (1, 2):
             assert not run_trials(c, k_dim, ell, 8, seed).any()
+
+
+# The level schedule against the per-gate reference
+
+
+def _reachable(c):
+    """Gate ids the output depends on, by a search from the output."""
+    seen, stack = set(), [c.output]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            if c.gates[g][0] in ("add", "mul"):
+                stack += [c.gates[g][1], c.gates[g][2]]
+    return seen
+
+
+def _same_as_reference(c, k_dim, ell, batch, seed):
+    sub = draw_substitution(max(1, len(c.var_index)), max(1, c.n_tags), k_dim, ell, seed, batch)
+    got = _eval_fast(c, sub)
+    assert got.tolist() == ref.eval_fast(c, sub).tolist()
+    return got
+
+
+@st.composite
+def builder_circuits(draw):
+    kind = draw(st.sampled_from(list(WitnessKind)))
+    k = draw(st.sampled_from([2, 4]))
+    g = random_redblue(draw(st.integers(3, 6)), 0.6, draw(st.integers(0, 10**6)))
+    build, extra = _BUILDERS[kind]
+    return build(g, k), k + extra
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.tuples(random_circuits(), st.integers(1, 9)), builder_circuits()),
+       st.sampled_from([16, 32, 64]), st.sampled_from([1, 31]), st.integers(0, 2**32))
+def test_level_schedule_matches_per_gate_reference(case, ell, batch, seed):
+    # B = 31 at K >= 8 runs gate by gate at l = 64; smaller vectors stack,
+    # and a group or sum larger than the byte budget is split
+    c, k_dim = case
+    _same_as_reference(c, k_dim, ell, batch, seed)
+
+
+@pytest.mark.parametrize("batch,per_call", [(1, 8), (4, 2), (31, 0)])
+def test_level_schedule_on_wide_vectors(batch, per_call):
+    # path k = 8 at l = 64 (four limb planes of 2^9-wide vectors): 8 gates a
+    # call at B = 1, two at B = 4, and one at a time on slot views at B = 31
+    from bcslab.algebra.mldetect import _BUDGET
+
+    assert _BUDGET // (4 * 2 * batch << 9) == per_call
+    g = random_redblue(10, 0.3, 4)
+    c = build_circuit_ebp(g, 8)
+    assert _same_as_reference(c, 9, 64, batch, seed=5).any()
+
+
+@pytest.mark.parametrize("gates,out", [
+    # a constant one, and a sum of constants, times a variable
+    ([("in", ("x", 1)), ("c1",), ("mul", 1, 0)], 2),
+    ([("in", ("x", 1)), ("c1",), ("c0",), ("add", 1, 2), ("mul", 0, 3)], 4),
+    # tags read as values: a sum of two tags, and a product of two tags
+    ([("in", ("t", 0)), ("in", ("t", 1)), ("add", 0, 1), ("in", ("y", 2)), ("mul", 3, 2)], 4),
+    ([("in", ("t", 0)), ("in", ("t", 1)), ("mul", 0, 1), ("in", ("y", 2)), ("mul", 2, 3)], 4),
+    # the output a variable, after gates it does not read
+    ([("in", ("x", 1)), ("in", ("t", 0)), ("mul", 0, 1), ("in", ("x", 2))], 3),
+])
+def test_level_schedule_fills_tags_and_constants(gates, out):
+    assert _same_as_reference(_tiny(gates, out, 1, 2), 1, 64, 3, seed=4).any()
+
+
+def test_schedule_holds_only_reachable_gates():
+    # builders leave gates the output never reads: a side of a product built
+    # before its other factor turned out to be zero
+    from bcslab.algebra.circuits import SUM
+
+    dead = 0
+    for seed in range(6):
+        g = random_redblue(6, 0.5, seed + 40)
+        for kind, (build, extra) in _BUILDERS.items():
+            c = build(g, 4)
+            live = _reachable(c)
+            dead += len(c.gates) - len(live)
+            muls = sum(1 for i in live if c.gates[i][0] == "mul")
+            assert sum(len(s[1]) for s in c.schedule.steps if s[0] != SUM) == muls
+            # no step writes two values to one slot
+            assert all(len(set(s[1].tolist())) == len(s[1]) for s in c.schedule.steps)
+            if c.gates[c.output][0] != "c0":
+                _same_as_reference(c, 4 + extra, 64, 2, seed)
+    assert dead > 0
+
+
+def test_schedule_flattens_add_chains():
+    # x0 + x1 + x2 + x3 as a chain is one sum of four terms; an add that a
+    # multiply also reads stays a value of its own
+    x = [("in", ("x", i)) for i in range(4)]
+    chain = _tiny(x + [("add", 0, 1), ("add", 4, 2), ("add", 5, 3)], 6, 1)
+    (kind, out, terms, starts), = chain.schedule.steps
+    assert starts.tolist() == [0, 4] and sorted(terms.tolist()) == [0, 1, 2, 3]
+    shared = _tiny(x + [("add", 0, 1), ("add", 4, 2), ("mul", 4, 3), ("add", 5, 6)], 7, 2)
+    assert sorted(len(s[1]) for s in shared.schedule.steps) == [1, 1, 1]
+    for c, k_dim in ((chain, 1), (shared, 2)):
+        _same_as_reference(c, k_dim, 64, 3, seed=2)

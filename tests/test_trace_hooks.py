@@ -7,6 +7,7 @@ from pathlib import Path
 
 from bcslab import colorcoding
 from bcslab.algebra import mldetect
+from bcslab.algebra.circuits import SUM
 from bcslab.graphs import WitnessKind, parse_graph
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -38,6 +39,9 @@ def _traced(fn, args):
                 calls[s["name"]] = calls.get(s["name"], 0) + 1
                 for name, agg in s["leaves"].items():
                     calls[name] = calls.get(name, 0) + agg["calls"]
+                    if "elements" in agg:
+                        key = name + ".elements"
+                        calls[key] = calls.get(key, 0) + agg["elements"]
         ops.append(calls)
     return results, ops
 
@@ -53,12 +57,18 @@ def test_tracer_records_the_algebraic_layers():
         g, 4, WitnessKind.PATH, trials=4, seed=1, ell=16), [YES, NO])
     assert [a.yes for a in answers] == [True, False]
     build, _ = mldetect._BUILDERS[WitnessKind.PATH]
-    # the first trial decides YES; NO runs both batches
-    for g, runs, calls in zip((YES, NO), (1, 2), ops):
-        muls = sum(1 for gate in build(g, 4).gates if gate[0] == "mul")
+    # the first trial decides YES; NO runs both batches, of 1 and 3 trials
+    for g, batches, calls in zip((YES, NO), ([1], [1, 3]), ops):
+        steps = [s for s in build(g, 4).schedule.steps if s[0] != SUM]
+        muls = sum(len(s[1]) for s in steps)
+        # each multiply group fits the byte budget at l = 16, B <= 3 and
+        # k_dim = 5, so it is one call
+        assert max(len(s[1]) for s in steps) * 2 * (3 << 5) <= mldetect._BUDGET
         assert calls["mldetect.randomized_solve"] == calls["circuits.build"] == 1
-        assert calls["mldetect.run_trials"] == calls["mldetect.draw_substitution"] == runs
-        assert calls["field.mul"] == runs * muls  # every multiply goes through VecGF
+        assert calls["mldetect.run_trials"] == calls["mldetect.draw_substitution"] == len(batches)
+        assert calls["field.mul"] == len(batches) * len(steps)
+        # every multiply still goes through VecGF: one element per trial and subset
+        assert calls["field.mul.elements"] == muls * sum(batches) << 5
 
 
 def test_tracer_records_the_colorful_dps():
