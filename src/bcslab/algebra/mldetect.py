@@ -79,9 +79,9 @@ def draw_substitution(
 
 
 # Bytes of limb planes one stacked call may gather per operand. A larger
-# group is split into calls of this size, and where one gate's vectors alone
-# fill it the gates run one at a time on slot views, sums XORed in place.
-# At l = 64 a field multiply's temporaries take about 25 times its operand
+# multiply group is split into calls of this size, and where one gate's
+# vectors alone fill it the multiplies run one at a time on slot views; a
+# sum group that exceeds it is XORed in place, term by term. At l = 64 a field multiply's temporaries take about 25 times its operand
 # bytes, so one call's working set stays under 1 MB, within a 2 MB L2 cache.
 _BUDGET = 1 << 15
 
