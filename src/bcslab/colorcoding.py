@@ -454,17 +454,7 @@ def _feasible(G: RedBlueGraph, k: int, kind: WitnessKind) -> bool:
     if kind in (WitnessKind.TREE, WitnessKind.PATH) and G.n < k + 1:
         return False
     # some connected component must carry >= k/2 of each color
-    comp = [0] * (G.n + 1)
-    for s in range(1, G.n + 1):
-        if comp[s]:
-            continue
-        comp[s] = s
-        stack = [s]
-        while stack:
-            for y, _ in G.adjacency[stack.pop()]:
-                if not comp[y]:
-                    comp[y] = s
-                    stack.append(y)
+    comp = G._component
     reds = [0] * (G.n + 1)
     blues = [0] * (G.n + 1)
     for u, _, c in G.edges:

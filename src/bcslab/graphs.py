@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 
@@ -86,6 +86,18 @@ class RedBlueGraph:
             adj[u].append((v, i))
             adj[v].append((u, i))
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
+
+    @cached_property
+    def _component(self) -> list:
+        """_component[v]: a label shared by exactly the vertices of v's connected
+        component, or 0 when v has no edge. Computed on first use."""
+        nbrs = [[y for y, _ in a] for a in self.adjacency]
+        comp = [0] * (self.n + 1)
+        for u, _, _ in self.edges:
+            if not comp[u]:
+                for v in bfs(u, nbrs):
+                    comp[v] = u
+        return comp
 
     @property
     def m(self) -> int:
@@ -174,7 +186,10 @@ class Witness:
 
     @staticmethod
     def from_json(text: str) -> "Witness":
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise ValueError("witness JSON is nested too deeply") from None
         if not isinstance(d, dict) or "kind" not in d or not isinstance(d.get("edges"), list):
             raise ValueError('witness JSON must be an object with "kind" and an "edges" list')
         edges = d["edges"]
@@ -274,20 +289,26 @@ def serialize_graph(G: RedBlueGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bfs(start, neighbors) -> dict:
+    """Breadth-first search from `start`, where `neighbors[x]` lists the
+    neighbours of x in the order they are to be tried.
+
+    Returns {vertex: parent} in visit order; the start's parent is None.
+    """
+    parent = {start: None}
+    queue = [start]
+    for x in queue:
+        for y in neighbors[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return parent
+
+
 def _spans(adj: dict) -> bool:
     """Whether a graph given as adjacency lists, one key per vertex, is connected
     (the empty graph counts as connected)."""
-    if not adj:
-        return True
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(adj)
+    return not adj or len(bfs(next(iter(adj)), adj)) == len(adj)
 
 
 def induced_connected(vertices, edges) -> bool:

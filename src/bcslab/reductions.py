@@ -106,25 +106,34 @@ def steiner_to_ebcs(n: int, edges: list, terminals: list, k: int) -> GeneratedIn
     )
 
 
-def longest_path_from(n: int, edges: list, u0: int) -> int:
-    """Length (edge count) of the longest simple path starting at u0; DFS."""
+def _simple_paths(n: int, edges: list, u0: int):
+    """Every simple path from u0 as a vertex list, in depth-first preorder with
+    neighbours ascending. Iterative, so path length is not bounded by the
+    recursion limit; the list yielded is the search's own, copy it to keep it.
+    """
     adj = {v: [] for v in range(1, n + 1)}
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    best = 0
+    for a in adj.values():
+        a.sort()
+    path, on_path, untried = [u0], {u0}, [iter(adj[u0])]
+    yield path
+    while untried:
+        y = next((y for y in untried[-1] if y not in on_path), None)
+        if y is None:
+            untried.pop()
+            on_path.discard(path.pop())
+        else:
+            path.append(y)
+            on_path.add(y)
+            untried.append(iter(adj[y]))
+            yield path
 
-    def dfs(x, seen, depth):
-        nonlocal best
-        best = max(best, depth)
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                dfs(y, seen, depth + 1)
-                seen.remove(y)
 
-    dfs(u0, {u0}, 0)
-    return best
+def longest_path_from(n: int, edges: list, u0: int) -> int:
+    """Length (edge count) of the longest simple path starting at u0."""
+    return max(len(p) for p in _simple_paths(n, edges, u0)) - 1
 
 
 def longest_path_split_to_ebp(
@@ -196,26 +205,6 @@ def longest_path_split_to_ebp(
 
 
 def _longest_path_vertices(n, edges, u0, k):
-    """A simple path of exactly k edges starting at u0, as a vertex list, or None."""
-    adj = {v: [] for v in range(1, n + 1)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    path = [u0]
-
-    def dfs(x, seen):
-        if len(path) == k + 1:
-            return True
-        for y in sorted(adj[x]):
-            if y not in seen:
-                seen.add(y)
-                path.append(y)
-                if dfs(y, seen):
-                    return True
-                path.pop()
-                seen.remove(y)
-        return False
-
-    if dfs(u0, {u0}):
-        return path
-    return None
+    """The first simple path of exactly k edges from u0 in `_simple_paths`
+    order, as a vertex list, or None."""
+    return next((p[:] for p in _simple_paths(n, edges, u0) if len(p) == k + 1), None)

@@ -6,6 +6,12 @@ red-minus-blue profile; trees delete a red+blue pendant pair or rebalance
 across a subtree split; connected subgraphs go through the line graph, where
 the tree procedure runs in its vertex-colored form.
 
+The rebalance, case (c), is one function for both forms. It is told how to
+list a part's atoms (edges or vertices), what an atom weighs, and which atom
+the breadth-first search from the split vertex gains on reaching a vertex x
+from its parent p: the edge (p, x) in the edge-colored form, x itself in the
+vertex-colored form. Every graph search here is `graphs.bfs`.
+
 Two boundary repairs relative to the source construction, both exercised by
 the exhaustive small-case sweeps:
   * the subtree split picks the least child prefix reaching k+1 vertices
@@ -50,6 +56,7 @@ from .graphs import (
     RedBlueGraph,
     Witness,
     WitnessKind,
+    bfs,
     validate_witness,
 )
 
@@ -198,55 +205,13 @@ def _vertex_path(adj, vcolor) -> _Path:
 
 
 # ---------------------------------------------------------------------------
-# Case (c) tree splitting, shared by the edge-colored and vertex-colored forms.
+# Case (c) tree splitting, one function for the edge-colored and the
+# vertex-colored form.
 #
-# A tree is given as adjacency {vertex: sorted neighbors}; "surplus" counts
-# each atom (edge or vertex) +1 for the pendant color and -1 otherwise.
+# A tree is given as adjacency {vertex: sorted neighbors}. The atoms are its
+# edges or its vertices; "surplus" counts each atom +1 for the pendant color
+# and -1 otherwise.
 # ---------------------------------------------------------------------------
-
-
-def _rooted(adj, root):
-    parent = {root: None}
-    depth = {root: 0}
-    order = [root]
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                order.append(y)
-                queue.append(y)
-    return parent, depth, order
-
-
-def _subtree_sizes(adj, parent, order):
-    size = {v: 1 for v in order}
-    for v in reversed(order):
-        p = parent[v]
-        if p is not None:
-            size[p] += size[v]
-    return size
-
-
-def _bfs_vertex_order(adj, start, allowed):
-    """BFS over the induced subgraph on `allowed`, neighbors ascending."""
-    seen = {start}
-    queue = [start]
-    qi = 0
-    out = [start]
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y in adj[x]:
-            if y in allowed and y not in seen:
-                seen.add(y)
-                queue.append(y)
-                out.append(y)
-    return out
 
 
 def _split_parts(adj, k):
@@ -256,117 +221,64 @@ def _split_parts(adj, k):
     vertex of degree >= 3 (the caller has excluded paths).
     """
     n = len(adj)
-    root = min(v for v in adj if len(adj[v]) >= 3)
-    parent, depth, order = _rooted(adj, root)
-    size = _subtree_sizes(adj, parent, order)
+    parent = bfs(min(v for v in adj if len(adj[v]) >= 3), adj)
+    depth, size = {}, dict.fromkeys(parent, 1)
+    for v, p in parent.items():
+        depth[v] = 0 if p is None else depth[p] + 1
+    for v in reversed(parent):
+        if parent[v] is not None:
+            size[parent[v]] += size[v]
     heavy = [v for v in adj if 3 * size[v] > n]
     dmax = max(depth[v] for v in heavy)
     u = min(v for v in heavy if depth[v] == dmax)
-    children = sorted(y for y in adj[u] if parent.get(y) == u)
     S = set()
     acc = 0
-    for c in children:
-        sub = [c]
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if parent.get(y) == x:
-                    sub.append(y)
-                    stack.append(y)
-        S.update(sub)
+    for c in sorted(y for y in adj[u] if parent[y] == u):
+        S.add(c)
         acc += size[c]
         if acc >= k + 1:
             break
+    for v, p in parent.items():  # parents come first in visit order
+        if p in S:
+            S.add(v)
     if not (k + 1 <= len(S) <= n - k - 1):
         raise AssertionError("subtree split out of range; tree too small for case (c)")
     R = set(adj) - S
     return u, S, R
 
 
-def _tree_rebalance(G, idx, adj, cstar, k):
-    """Case (c) on an edge-colored tree whose pendant edges all have color cstar.
+def _rebalance(adj, k, atoms, weight, gained):
+    """Case (c) on a tree whose pendant atoms all have one color.
 
-    Returns the kept edge indices.
+    atoms(vs) lists the atoms of the subtree on the vertex set vs, weight(a)
+    is a's surplus, and gained(p, x) is the atom the subtree gains when the
+    search reaches x from its parent p. The pendant-color-heavy part of the
+    split takes the other part's atoms in breadth-first order from u until
+    balanced. Returns the kept atoms.
     """
     u, S, R = _split_parts(adj, k)
-
-    def part_edges(verts):
-        return [i for i in idx if G.edges[i][0] in verts and G.edges[i][1] in verts]
-
-    side_S = part_edges(S | {u})
-    side_R = part_edges(R)
-
-    def surplus(es):
-        return sum(1 if G.color(i) is cstar else -1 for i in es)
-
-    for es in (side_S, side_R):
-        if surplus(es) == 0:
-            return es
-
-    if surplus(side_R) > 0:
-        base, base_verts, other_verts = side_R, R, S | {u}
+    side_S, side_R = atoms(S | {u}), atoms(R)
+    s_S, s_R = sum(map(weight, side_S)), sum(map(weight, side_R))
+    if s_S == 0:
+        return side_S
+    if s_R == 0:
+        return side_R
+    if s_R > 0:
+        kept, s, other = list(side_R), s_R, S | {u}
     else:
-        base, base_verts, other_verts = side_S, S | {u}, R
-    # add the other part's edges in breadth-first order from u until balanced
-    edge_of = {}
-    for i in idx:
-        a, b, _ = G.edges[i]
-        edge_of[(a, b)] = i
-        edge_of[(b, a)] = i
-    vorder = _bfs_vertex_order(adj, u, other_verts)
-    parent_in_bfs = {}
-    seen = {u}
-    for x in vorder:
-        for y in adj[x]:
-            if y in other_verts and y not in seen and y not in parent_in_bfs:
-                parent_in_bfs[y] = x
-        seen.add(x)
-    add_order = [edge_of[(parent_in_bfs[x], x)] for x in vorder[1:]]
-    cur = list(base)
-    s = surplus(base)
-    for i in add_order:
-        cur.append(i)
-        s += 1 if G.color(i) is cstar else -1
-        if s == 0:
-            break
-    if len(cur) == len(idx):
+        kept, s, other = list(side_S), s_S, R
+    base = len(kept)
+    # the other part is u and whole branches at u, so the search of the tree
+    # from u, read only on that part, is the search of that part
+    for x, p in bfs(u, adj).items():
+        if p is not None and x in other:
+            kept.append(gained(p, x))
+            s += weight(kept[-1])
+            if s == 0:
+                break
+    if len(kept) - base == len(other) - 1:
         raise AssertionError("rebalancing consumed the whole tree")
-    return cur
-
-
-def _vertex_tree_rebalance(adj, vcolor, cstar, k):
-    """Case (c) on a vertex-colored tree whose leaves all have color cstar.
-
-    Returns the kept vertex set.
-    """
-
-    def surplus(vs):
-        return sum(1 if vcolor[v] is cstar else -1 for v in vs)
-
-    u, S, R = _split_parts(adj, k)
-    part_S = S | {u}
-    part_R = R
-    for part in (part_S, part_R):
-        if surplus(part) == 0:
-            return set(part)
-    if surplus(part_R) > 0:
-        base, other = part_R, part_S
-    else:
-        base, other = part_S, part_R
-    vorder = _bfs_vertex_order(adj, u, other)
-    cur = set(base)
-    s = surplus(base)
-    for v in vorder:
-        if v in cur:
-            continue
-        cur.add(v)
-        s += 1 if vcolor[v] is cstar else -1
-        if s == 0:
-            break
-    if len(cur) == len(adj):
-        raise AssertionError("vertex rebalancing consumed the whole tree")
-    return cur
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +331,13 @@ class _EdgeTree:
                 self.path = _edge_path(self.G, list(self.alive))
             return
         cstar = RED if red else BLUE
-        adj = {}
-        for v, s in self.inc.items():
-            adj[v] = sorted(sum(self.G.endpoints(i)) - v for i in s)
-        self._build(_tree_rebalance(self.G, sorted(self.alive), adj, cstar, self.k))
+        G, inc = self.G, self.inc
+        adj = {v: sorted(sum(G.endpoints(i)) - v for i in s) for v, s in inc.items()}
+        self._build(_rebalance(
+            adj, self.k,
+            lambda vs: [i for i in self.alive if G.edges[i][0] in vs and G.edges[i][1] in vs],
+            lambda i: 1 if G.color(i) is cstar else -1,
+            lambda p, x: min(inc[p] & inc[x])))  # the one edge at both p and x
 
     def _drop_pendant(self, i):
         self.alive.discard(i)
@@ -455,15 +370,11 @@ class _LineTree:
         self.size = len(ids)
         self.root = ids[0]
         self.tadj = {i: set() for i in ids}
-        seen = {self.root}
-        queue = [self.root]
-        for x in queue:
-            for y in G.edge_neighbors(x):
-                if y in idset and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-                    self.tadj[x].add(y)
-                    self.tadj[y].add(x)
+        nbrs = {i: [j for j in G.edge_neighbors(i) if j in idset] for i in ids}
+        for x, p in bfs(self.root, nbrs).items():
+            if p is not None:
+                self.tadj[x].add(p)
+                self.tadj[p].add(x)
         self.branching = sum(1 for a in self.tadj.values() if len(a) >= 3)
         self.path = _vertex_path(self.tadj, self.vcolor) if self.branching == 0 else None
         if self.path is not None:
@@ -503,7 +414,9 @@ class _LineTree:
             else:
                 cstar = RED if red else BLUE
                 adj = {v: sorted(a) for v, a in self.tadj.items()}
-                kept = _vertex_tree_rebalance(adj, self.vcolor, cstar, self.k)
+                kept = _rebalance(adj, self.k, list,
+                                  lambda v: 1 if self.vcolor[v] is cstar else -1,
+                                  lambda p, x: x)
         # a split, a new root or case (c) can change the BFS tree beyond the deleted atoms
         self._build(kept)
 

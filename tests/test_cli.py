@@ -178,6 +178,16 @@ def test_shrink_witness_non_integer_edges_exit_two(tmp_path, capsys, edges):
     assert captured.out == "" and "integer edge indices" in captured.err
 
 
+def test_shrink_deeply_nested_witness_exit_two(tmp_path, capsys):
+    gp = tmp_path / "g.graph"
+    gp.write_text(TRI)
+    wp = tmp_path / "w.json"
+    wp.write_text("[" * 100000)
+    assert main(["shrink", "-k", "2", str(gp), str(wp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nested too deeply" in captured.err
+
+
 @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
 def test_bad_threads_exit_two(value, monkeypatch, capsys):
     monkeypatch.setenv("BCSLAB_THREADS", value)

@@ -225,6 +225,34 @@ def test_feasible_counts_colors_per_component():
         assert _feasible(joined, 4, kind)
 
 
+def _feasible_reference(g, k, kind):
+    nx = pytest.importorskip("networkx")
+    half = k // 2
+    if g.m < k or len(g.red_edges()) < half or len(g.blue_edges()) < half:
+        return False
+    if kind in (WitnessKind.TREE, WitnessKind.PATH) and g.n < k + 1:
+        return False
+    H = nx.Graph()
+    H.add_nodes_from(range(1, g.n + 1))
+    H.add_edges_from(g.endpoints(i) for i in range(g.m))
+    for comp in nx.connected_components(H):
+        colors = [c for u, _, c in g.edges if u in comp]
+        if colors.count(R) >= half and colors.count(B) >= half:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+def test_feasible_matches_networkx_components(case):
+    from bcslab.colorcoding import _feasible
+
+    g = case[0]
+    for k in (2, 4, 6):
+        for kind in WitnessKind:
+            assert _feasible(g, k, kind) == _feasible_reference(g, k, kind)
+
+
 def _sized_graph(n, m, seed):
     rng = random.Random(seed)
     pairs = rng.sample([(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)], m)

@@ -11,6 +11,7 @@ from bcslab.graphs import (
     Witness,
     WitnessKind,
     _edge_set_connected,
+    bfs,
     line_graph,
     parse_graph,
     serialize_graph,
@@ -351,3 +352,30 @@ def graph_and_edge_subset(draw):
 def test_edge_set_connected_matches_reference(case):
     g, subset = case
     assert _edge_set_connected(g, subset) == _edge_set_connected_reference(g, subset)
+
+
+@st.composite
+def graph_with_neighbor_order(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, draw(st.permutations(chosen)), draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_with_neighbor_order())
+def test_bfs_matches_networkx(case):
+    nx = pytest.importorskip("networkx")
+    n, edges, start = case
+    H = nx.Graph()
+    H.add_nodes_from(range(1, n + 1))
+    H.add_edges_from(edges)
+    neighbors = {v: list(H.adj[v]) for v in H}
+    parent = bfs(start, neighbors)
+    order = list(parent)
+    assert set(order) == nx.node_connected_component(H, start)
+    assert order == [start] + [y for _, y in nx.bfs_edges(H, start)]
+    assert parent[start] is None
+    position = {v: i for i, v in enumerate(order)}
+    for v in order[1:]:
+        assert parent[v] == min(neighbors[v], key=position.__getitem__)

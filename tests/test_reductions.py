@@ -3,6 +3,7 @@ import pytest
 from bcslab.graphs import WitnessKind, serialize_graph, split_partition, validate_witness
 from bcslab.oracle import SolveMode, oracle_solve
 from bcslab.reductions import (
+    _longest_path_vertices,
     longest_path_from,
     longest_path_split_to_ebp,
     steiner_min_edges,
@@ -89,6 +90,20 @@ def test_splitpath_rejects_bad_partition():
     # a repeated clique edge does not stand in for a missing one
     with pytest.raises(ValueError, match="clique part is not a clique"):
         longest_path_split_to_ebp(3, [(1, 2), (2, 1), (2, 3)], {1, 2, 3}, set(), 1, 1)
+
+
+def test_path_search_past_recursion_limit():
+    edges = [(i, i + 1) for i in range(1, 2000)]
+    assert longest_path_from(2000, edges, 1) == 1999
+    assert _longest_path_vertices(2000, edges, 1, 1999) == list(range(1, 2001))
+    assert _longest_path_vertices(2000, edges, 1, 2000) is None
+
+
+def test_path_search_tries_neighbours_ascending():
+    # the intended splitpath witness is the first path in this order
+    edges = [(1, 3), (3, 4), (1, 2), (3, 2)]
+    assert _longest_path_vertices(4, edges, 1, 2) == [1, 2, 3]
+    assert _longest_path_vertices(4, edges, 1, 3) == [1, 2, 3, 4]
 
 
 def test_connected_graph_classes_counts():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -283,12 +284,14 @@ def test_shrink_to_range_equals_step_fold_on_criterion_3_sweeps():
 
 
 def test_shrink_to_range_equals_step_fold_random(monkeypatch):
-    calls = {"_tree_rebalance": 0, "_vertex_tree_rebalance": 0}
-    for name in calls:
-        def counted(*args, _f=getattr(shrink, name), _name=name):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(shrink, name, counted)
+    # case (c) calls per form, told apart by the engine that makes the call
+    calls = {shrink._EdgeTree: 0, shrink._LineTree: 0}
+
+    def counted(*args, _f=shrink._rebalance):
+        calls[type(sys._getframe(1).f_locals["self"])] += 1
+        return _f(*args)
+
+    monkeypatch.setattr(shrink, "_rebalance", counted)
     tree_to_path = root_removed = 0
     for kind in (P_, T_, S_):
         for seed in range(400):
@@ -304,7 +307,7 @@ def test_shrink_to_range_equals_step_fold_random(monkeypatch):
                 root_removed += sum(1 for x, y in zip(seen, seen[1:] + [out])
                                     if min(x.edge_indices) not in y.edge_indices)
     # each of these forces a rebuild (or a switch to the path window) mid-run
-    assert calls["_tree_rebalance"] > 0 and calls["_vertex_tree_rebalance"] > 0
+    assert calls[shrink._EdgeTree] > 0 and calls[shrink._LineTree] > 0
     assert tree_to_path > 0 and root_removed > 0
 
 
