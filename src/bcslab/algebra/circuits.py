@@ -14,7 +14,8 @@ at build time:
 
 The three share one skeleton, `_Builder.circuit`: the memo, the sum of the
 top cells over all anchors, and the tagged sums of child cells. A builder
-only says how one cell combines its children.
+only says how one cell combines its children. Every sum of two or more terms
+is one add gate.
 
 Every sum term carries a fresh scalar tag variable ('t', i): a degree-0 input
 multiplied into that term. Distinct derivations of the same square-free
@@ -27,12 +28,11 @@ over the non-negative integers, which is what the symbolic expansion checks.
 A Circuit is analysed once, when it is constructed. The pass that checks the
 gate references numbers the structural variables, takes every gate's degree
 and last use and marks the multiplies by a tag. `walk` evaluates a circuit in
-one loop over its gates for any choice of value rules; the exact evaluator
-and `expand_multilinear` go through it. A second pass, from the output down,
-builds the sieve's level schedule (`Schedule`): only the gates the output
-reads, grouped by level into general multiplies, multiplies by a tag and
-sums, with add chains flattened into one sum each and value slots reused
-once a value's last reader has run.
+one loop over its gates for any choice of value rules; `expand_multilinear`
+and the tests' reference evaluators go through it. A second pass, from the
+output down, builds the sieve's level schedule (`Schedule`): only the gates
+the output reads, grouped by level into general multiplies, multiplies by a
+tag and sums, with value slots reused once a value's last reader has run.
 """
 from __future__ import annotations
 
@@ -48,16 +48,16 @@ from ..graphs import EdgeColor, RedBlueGraph, count_splits, require_even_k
 class Circuit:
     """Topologically ordered gate list; gate 0 onward, `output` is a gate id.
 
-    Gates: ('in', var), ('c0',), ('c1',), ('add', i, j), ('mul', i, j) with
-    var one of ('x', edge_index), ('y', vertex), ('t', tag_index). Tag inputs
-    are scalar fingerprints of degree 0; degree_bound dominates the structural
-    degree of every monomial.
+    Gates: ('in', var), ('c0',), ('c1',), ('add', i1, ..., in) with n >= 2,
+    ('mul', i, j), with var one of ('x', edge_index), ('y', vertex),
+    ('t', tag_index). Tag inputs are scalar fingerprints of degree 0;
+    degree_bound dominates the structural degree of every monomial.
 
     Construction also stores var_index, each structural variable's number in
     order of first appearance; last_use[g], the last gate that reads g (g if
     none does, len(gates) for the output); tag_side[g], 1 or 2 when that
     operand of multiply g is a tag input, else 0; homogeneous_degree, the
-    output degree if every add joins equal degrees; and schedule, the sieve's
+    output degree if every add sums equal degrees; and schedule, the sieve's
     level schedule.
     """
 
@@ -97,14 +97,16 @@ class Circuit:
                 elif j in tags:
                     side[gid] = 2
             elif op == "add":
-                _, i, j = g
-                if not (0 <= i < gid and 0 <= j < gid):
-                    raise ValueError("gate references must precede the gate")
-                last[i] = last[j] = gid
-                a, b = deg[i], deg[j]
-                if a != b:
+                if len(g) < 3:
+                    raise ValueError("an add needs at least two operands")
+                for i in g[1:]:
+                    if not 0 <= i < gid:
+                        raise ValueError("gate references must precede the gate")
+                    last[i] = gid
+                ds = [deg[i] for i in g[1:]]
+                deg[gid] = max(ds)
+                if min(ds) != deg[gid]:
                     homogeneous = False
-                deg[gid] = a if a >= b else b
             elif op == "in":
                 key = g[1]
                 if key[0] == "t":
@@ -162,66 +164,46 @@ def _schedule(gates: tuple, out: int, side: list, var_index: dict) -> Schedule:
     One pass from the output down, so that a gate is reached after every gate
     that reads it. A gate's height is one more than its highest reader's, the
     output's is 0, and the levels run from the greatest height down: each
-    value is made just before its first reader needs it. An add read by one
-    add and nothing else is absorbed into that add's term list, so a chain or
-    tree of adds is one sum. A tag read as a multiplier's scalar side is not a
-    value and gets no slot.
+    value is made just before its first reader needs it. A tag read as a
+    multiplier's scalar side is not a value and gets no slot.
     """
-    reads = [0] * (out + 1)  # 1 per add reading the gate, 2 per multiply
     height = [0] * (out + 1)
-    last = [out + 1] * (out + 1)  # the height of the gate's last reader
-    owner: Dict[int, list] = {}  # an add's operand -> that add's term list
+    # the height of the gate's last reader; out + 1 until a reader is reached
+    last = [out + 1] * (out + 1)
     # per height: MUL and TAG_MUL entries flat (gate, operand, operand or tag),
     # SUM entries (gate, term gates), and the values whose last reader is there
     levels: List[tuple] = []
     leaves: List[int] = []
     fills: List[int] = []
-    reads[out] = 2
     last[out] = -1
     for gid in range(out, -1, -1):
-        r = reads[gid]
-        if not r:
+        if last[gid] > out:
             continue
+        if last[gid] >= 0:
+            levels[last[gid]][3].append(gid)
         g = gates[gid]
         op = g[0]
-        if op == "add" and r == 1:
-            # absorbed: its operands join the sum of the add that reads it
-            e = height[gid] - 1
-            terms = owner[gid]
+        if op != "mul" and op != "add":
+            (leaves if op == "in" and g[1][0] != "t" else fills).append(gid)
+            continue
+        e = height[gid]
+        if e == len(levels):
+            levels.append(([], [], [], []))
+        s = side[gid]
+        if op == "add":
+            operands = g[1:]
+            levels[e][SUM].append((gid, operands))
+        elif s:
+            levels[e][TAG_MUL].extend((gid, g[3 - s], gates[g[s]][1][1]))
+            operands = (g[3 - s],)
         else:
-            if last[gid] >= 0:
-                levels[last[gid]][3].append(gid)
-            if op != "mul" and op != "add":
-                (leaves if op == "in" and g[1][0] != "t" else fills).append(gid)
-                continue
-            e = height[gid]
-            if e == len(levels):
-                levels.append(([], [], [], []))
-            if op == "mul":
-                s = side[gid]
-                if s:
-                    levels[e][TAG_MUL].extend((gid, g[3 - s], gates[g[s]][1][1]))
-                    operands = (g[3 - s],)
-                else:
-                    levels[e][MUL].extend((gid, g[1], g[2]))
-                    operands = (g[1], g[2])
-                for x in operands:
-                    reads[x] += 2
-                    if height[x] <= e:
-                        height[x] = e + 1
-                    if last[x] > e:
-                        last[x] = e
-                continue
-            terms = []
-            levels[e][SUM].append((gid, terms))
-        for x in (g[1], g[2]):
-            reads[x] += 1
+            levels[e][MUL].extend((gid, g[1], g[2]))
+            operands = (g[1], g[2])
+        for x in operands:
             if height[x] <= e:
                 height[x] = e + 1
             if last[x] > e:
                 last[x] = e
-            terms.append(x)
-            owner[x] = terms
     # slots, level by level: a slot freed after one level is reused from the next
     slot = [-1] * (out + 1)
     n_slots = 0
@@ -230,7 +212,7 @@ def _schedule(gates: tuple, out: int, side: list, var_index: dict) -> Schedule:
         n_slots += 1
     free: List[int] = []
     flat: tuple = ([], [], [])  # MUL and TAG_MUL entries and SUM term gates, level by level
-    sum_out, sum_len = [], []
+    sum_out, sum_len = [], [0]
     spans = []  # (kind, first entry, end)
     for muls, tag_muls, sums, dying in reversed(levels):
         for kind, outs in ((MUL, muls[::3]), (TAG_MUL, tag_muls[::3]),
@@ -259,14 +241,8 @@ def _schedule(gates: tuple, out: int, side: list, var_index: dict) -> Schedule:
     tag_muls = np.array(flat[TAG_MUL], dtype=np.intp).reshape(-1, 3).T
     tag_muls[:2] = at[tag_muls[:2]]
     sum_slots = at[np.array(sum_out, dtype=np.intp)]
-    # absorbed adds have no slot: drop them from the term lists
     terms = at[np.array(flat[SUM], dtype=np.intp)]
-    kept = terms >= 0
-    starts = np.zeros(len(sum_len) + 1, dtype=np.intp)
-    if sum_len:
-        first = np.cumsum([0] + sum_len[:-1])
-        np.cumsum(np.add.reduceat(kept, first, dtype=np.intp), out=starts[1:])
-    terms = terms[kept]
+    starts = np.cumsum(sum_len, dtype=np.intp)
     steps = []
     for kind, lo, hi in spans:
         if kind == SUM:
@@ -285,25 +261,26 @@ def walk(c: Circuit, var: Callable, tag: Callable, const: Callable, add: Callabl
     """The output value of c under one set of value rules, in one pass.
 
     var(i) gives variable number i (c.var_index), tag(s) tag s, const(bit) c0
-    or c1; add(a, b) and mul(a, b, scalar) combine values, with scalar True
-    when b is a tag's value. A value is dropped after its last use.
+    or c1; mul(a, b, scalar) multiplies two values, with scalar True when b is
+    a tag's value, and add(a, b) is folded left over an add's operands. A
+    value is dropped after its last use.
     """
     gates, last, side, var_index = c.gates, c.last_use, c.tag_side, c.var_index
     vals: list = [None] * len(gates)
     for gid, g in enumerate(gates):
         op = g[0]
-        if op == "mul" or op == "add":
-            i, j = g[1], g[2]
+        if op == "add" or op == "mul":
             if op == "add":
-                v = add(vals[i], vals[j])
+                v = vals[g[1]]
+                for x in g[2:]:
+                    v = add(v, vals[x])
             elif side[gid] == 1:
-                v = mul(vals[j], vals[i], True)
+                v = mul(vals[g[2]], vals[g[1]], True)
             else:
-                v = mul(vals[i], vals[j], side[gid] == 2)
-            if last[i] == gid:
-                vals[i] = None
-            if last[j] == gid:
-                vals[j] = None
+                v = mul(vals[g[1]], vals[g[2]], side[gid] == 2)
+            for x in g[1:]:
+                if last[x] == gid:
+                    vals[x] = None
         elif op == "in":
             key = g[1]
             v = tag(key[1]) if key[0] == "t" else var(var_index[key])
@@ -319,7 +296,7 @@ def dump_circuit(c: Circuit) -> str:
         if g[0] == "in":
             body = "IN %s%s" % g[1]
         elif g[0] in ("add", "mul"):
-            body = f"{g[0].upper()} g{g[1]} g{g[2]}"
+            body = g[0].upper() + "".join(f" g{x}" for x in g[1:])
         else:
             body = g[0].upper()
         lines.append(f"g{gid} = {body}")
@@ -352,14 +329,10 @@ class _Builder:
         return len(self.gates) - 1
 
     def addtree(self, ids: List[int]) -> Optional[int]:
-        if not ids:
-            return None
-        gates = self.gates
-        acc = ids[0]
-        for x in ids[1:]:
-            gates.append(("add", acc, x))
-            acc = len(gates) - 1
-        return acc
+        """The sum of ids as one gate: None for no terms, the term itself for one."""
+        if len(ids) < 2:
+            return ids[0] if ids else None
+        return self.gate(("add", *ids))
 
     def tagged_sum(self, cell: Callable, j: int, anchors, r: int, b: int) -> Optional[int]:
         """Sum over anchors a of a fresh tag times cell(j, a, r, b), skipping

@@ -9,15 +9,16 @@ of a random d x k_dim matrix over GF(2^l), nonzero except with probability
 ~ d/2^l. One trial is one joint draw; the answer is one-sided: a zero
 polynomial evaluates to zero on every draw.
 
-Evaluation is vectorized across trials. For degree-homogeneous circuits whose
-output degree equals k_dim (all three builders), each gate holds one
-subset-zeta vector and a product is a single pointwise field multiplication:
-lower-rank junk introduced by overlapping unions can never reach the full
-mask, whose Moebius coefficient (the XOR of the whole vector) is therefore
-the exact top-rank ring coefficient. Other circuits fall back to exact
-ranked subset convolution per gate, through `circuits.walk`.
+Evaluation is vectorized across trials. The sieve takes circuits that are
+homogeneous of degree k_dim, as every builder circuit is, and the constant
+zero; `run_trials` rejects any other. Each gate holds one subset-zeta vector
+and a product is a single pointwise field multiplication: lower-rank junk
+introduced by overlapping unions can never reach the full mask, whose Moebius
+coefficient (the XOR of the whole vector) is therefore the exact top-rank
+ring coefficient. An exact ranked evaluator per gate is kept with the tests,
+as the reference this one is compared against.
 
-The fast path runs the level schedule built with the circuit
+The sieve runs the level schedule built with the circuit
 (`Circuit.schedule`) in one buffer of value slots, each (P, B, 2^K) limb
 planes. A group of a level, its general multiplies, its multiplies by a
 GF(2^16) tag or its sums, is one stacked `VecGF.mul`, one `mul_scalar16` or
@@ -26,8 +27,8 @@ byte budget per operand. A multiply group that exceeds it is split into
 several calls, and where one gate's vectors alone fill it (B = 31 at K = 9)
 the gates run one at a time on slot views. A sum group that
 exceeds it is XORed in place, term by term. Small circuits are then a few
-calls per level instead of one per gate, and wide vectors cost what the
-per-gate walk cost. Nothing is analysed per call, so a `run_trials` call
+calls per level instead of one per gate, and wide vectors cost what one
+call per gate costs. Nothing is analysed per call, so a `run_trials` call
 makes no pass over the gates.
 """
 from __future__ import annotations
@@ -39,17 +40,8 @@ from typing import Optional
 import numpy as np
 
 from ..graphs import RedBlueGraph, Witness, WitnessKind, require_even_k, validate_witness
-from .circuits import (
-    MUL,
-    SUM,
-    Circuit,
-    build_circuit_ebcs,
-    build_circuit_ebp,
-    build_circuit_ebt,
-    walk,
-)
+from .circuits import MUL, SUM, Circuit, build_circuit_ebcs, build_circuit_ebp, build_circuit_ebt
 from .field import VecGF
-from .group_algebra import Backend, Basis, GroupAlgebraElement, ga_multiply
 
 _TAG_ELL = 16  # tags live in the GF(2^16) subfield; cheap limb-wise products
 
@@ -92,8 +84,9 @@ def _field(ell: int) -> VecGF:
 
 
 def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
-    """(B,) output top-rank coefficients for homogeneous circuits, by running
-    c.schedule on subset-zeta vectors of shape (B, 2^K)."""
+    """(B,) output top-rank coefficients of a circuit homogeneous of degree K,
+    or zeros for the constant zero, by running c.schedule on subset-zeta
+    vectors of shape (B, 2^K)."""
     K = sub.k_dim
     B = sub.vectors.shape[0]
     if K == 0:
@@ -149,42 +142,22 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
     return vf.from_planes(xor.reduce(buf[sch.output], axis=-1))
 
 
-def _eval_exact(c: Circuit, sub: Substitution) -> np.ndarray:
-    """(B, 2^K) output coefficients in the nilpotent basis, one exact ranked
-    subset convolution per gate and trial (reference and fallback path)."""
-    K = sub.k_dim
-    B = sub.vectors.shape[0]
-
-    def elem(coeffs: dict) -> GroupAlgebraElement:
-        full = [0] * (1 << K)
-        for mask, x in coeffs.items():
-            full[mask] = int(x)
-        return GroupAlgebraElement(K, sub.ell, Basis.NILPOTENT, tuple(full))
-
-    def mul(a, b, _scalar):
-        return ga_multiply(a, b, Backend.SUBSET_CONVOLUTION)
-
-    out = np.zeros((B, 1 << K), dtype=np.uint64)
-    for t in range(B):
-        # tags and constants have rank 0
-        out[t] = walk(c, lambda i: elem({1 << j: x for j, x in enumerate(sub.vectors[t, i])}),
-                      lambda s: elem({0: sub.tags[t, s]}), lambda bit: elem({0: bit}),
-                      GroupAlgebraElement.add, mul).coeffs
-    return out
-
-
 def run_trials(c: Circuit, k_dim: int, ell: int, trials: int, seed: int,
                batch_index: int = 0) -> np.ndarray:
-    """Per-trial positive flags; one-sided (never positive on zero polynomials)."""
+    """Per-trial positive flags; one-sided (never positive on zero polynomials).
+
+    c must be homogeneous of degree k_dim, as every builder circuit is, or the
+    constant zero, which gives no positive flag.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     if c.degree_bound > k_dim:
         raise ValueError("circuit degree bound exceeds k_dim")
+    if c.homogeneous_degree != k_dim and c.gates[c.output][0] != "c0":
+        raise ValueError("circuit is neither homogeneous of degree k_dim nor zero")
     sub = draw_substitution(max(1, len(c.var_index)), c.n_tags, k_dim, ell, seed, trials,
                             batch_index)
-    if c.homogeneous_degree == k_dim:
-        return _eval_fast(c, sub) != 0
-    return _eval_exact(c, sub).any(axis=1)
+    return _eval_fast(c, sub) != 0
 
 
 def detect_multilinear(c: Circuit, k_dim: int, ell: int, trials: int, seed: int) -> bool:

@@ -46,6 +46,11 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+def _require_repsets_kind(kind):
+    if kind is not WitnessKind.PATH:
+        raise ValueError("repsets solver handles kind=path only")
+
+
 def run_solver(G, algo, kind, k, args):
     """Returns (yes: bool, witness or None)."""
     if algo == "oracle":
@@ -61,8 +66,7 @@ def run_solver(G, algo, kind, k, args):
         w = random_coloring_driver(G, k, kind, args.delta, args.seed)
         return w is not None, w
     if algo == "repsets":
-        if kind is not WitnessKind.PATH:
-            raise ValueError("repsets solver handles kind=path only")
+        _require_repsets_kind(kind)
         w = solve_ebp_repsets(G, k)
         return w is not None, w
     if algo == "algebraic":
@@ -266,6 +270,8 @@ def bench_rows(algo, kind_name, ks, n, p, seed, runs, trials=8, ell=32):
     if runs < 1:
         raise ValueError(f"bench needs at least one run, got {runs}")
     kind = KINDS[kind_name]
+    if algo == "repsets":
+        _require_repsets_kind(kind)
     rows = []
     G = corpus_mod.random_graph(n, p, seed)
     for k in ks:
@@ -362,6 +368,10 @@ def main(argv: Optional[list] = None) -> int:
     except (GraphFormatError, ValueError, NotASplitGraphError,
             ShrinkPreconditionError, OracleBudgetError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:
+        # the sieve's vectors grow as 2^k; a run that cannot hold them has no answer
+        sys.stderr.write("error: out of memory for this instance; try a smaller k\n")
         return 2
 
 

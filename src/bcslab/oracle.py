@@ -70,6 +70,16 @@ def _balanced_candidates(G: RedBlueGraph, h: int, budget: _Budget):
             yield rc + bc
 
 
+def _witness_sets(G: RedBlueGraph, h: int, kind: WitnessKind, budget: _Budget):
+    """Yield the valid witnesses of size h as sorted edge-index tuples, in
+    enumeration order; a tree or path needs h + 1 vertices."""
+    if kind is not WitnessKind.SUBGRAPH and h + 1 > G.n:
+        return
+    for cand in _balanced_candidates(G, h, budget):
+        if _kind_ok(G, cand, kind):
+            yield tuple(sorted(cand))
+
+
 def oracle_solve(
     G: RedBlueGraph,
     k: int,
@@ -86,11 +96,8 @@ def oracle_solve(
     b = _Budget(budget)
     sizes = [k] if mode is SolveMode.EXACT else range(k, G.m + 1, 2)
     for h in sizes:
-        if kind in (WitnessKind.TREE, WitnessKind.PATH) and h + 1 > G.n:
-            continue
-        for cand in _balanced_candidates(G, h, b):
-            if _kind_ok(G, cand, kind):
-                return Witness(kind, tuple(sorted(cand)))
+        for found in _witness_sets(G, h, kind, b):
+            return Witness(kind, found)
     return None
 
 
@@ -103,10 +110,7 @@ def oracle_count(
     """Exact number of balanced edge subsets of size k satisfying the kind."""
     if k < 2 or k % 2:
         raise ValueError("k must be a positive even integer >= 2")
-    b = _Budget(budget)
-    if kind in (WitnessKind.TREE, WitnessKind.PATH) and k + 1 > G.n:
-        return 0
-    return sum(1 for cand in _balanced_candidates(G, k, b) if _kind_ok(G, cand, kind))
+    return sum(1 for _ in _witness_sets(G, k, kind, _Budget(budget)))
 
 
 def all_witness_sets(
@@ -116,11 +120,4 @@ def all_witness_sets(
     budget: int = DEFAULT_BUDGET,
 ) -> list:
     """All witness edge sets of size exactly k, as sorted tuples (test helper)."""
-    b = _Budget(budget)
-    out = []
-    if kind in (WitnessKind.TREE, WitnessKind.PATH) and k + 1 > G.n:
-        return out
-    for cand in _balanced_candidates(G, k, b):
-        if _kind_ok(G, cand, kind):
-            out.append(tuple(sorted(cand)))
-    return out
+    return list(_witness_sets(G, k, kind, _Budget(budget)))

@@ -26,24 +26,27 @@ class GeneratedInstance:
     info: dict
 
 
-def steiner_min_edges(n: int, edges: list, terminals: set) -> Optional[int]:
-    """Fewest edges of a subtree spanning the terminals; None if disconnected.
+def _steiner_vertices(n: int, edges: list, terminals) -> Optional[set]:
+    """The first connected vertex superset of the terminals, by size and then
+    in combination order of the other vertices; None if there is none.
 
-    Scans vertex supersets of the terminal set: a Steiner tree on vertex set W
-    has |W|-1 edges, and any connected G[W] contains one.
+    A Steiner tree on vertex set W has |W|-1 edges, and any connected G[W]
+    contains one, so this set spans a smallest Steiner tree.
     """
     terminals = set(terminals)
     others = [v for v in range(1, n + 1) if v not in terminals]
-    best = None
     for extra in range(len(others) + 1):
-        if best is not None:
-            break
         for add in combinations(others, extra):
             W = terminals | set(add)
             if induced_connected(W, edges):
-                best = len(W) - 1
-                break
-    return best
+                return W
+    return None
+
+
+def steiner_min_edges(n: int, edges: list, terminals: set) -> Optional[int]:
+    """Fewest edges of a subtree spanning the terminals; None if disconnected."""
+    W = _steiner_vertices(n, edges, terminals)
+    return None if W is None else len(W) - 1
 
 
 def steiner_to_ebcs(n: int, edges: list, terminals: list, k: int) -> GeneratedInstance:
@@ -64,20 +67,10 @@ def steiner_to_ebcs(n: int, edges: list, terminals: list, k: int) -> GeneratedIn
     H = RedBlueGraph(nn, tuple(hedges))
 
     intended = None
-    opt = steiner_min_edges(n, edges, set(T))
-    if opt is not None and opt <= k:
-        # forward witness: a terminal-spanning tree padded to exactly k blue edges
-        W = None
-        others = [v for v in range(1, n + 1) if v not in T]
-        for extra in range(len(others) + 1):
-            if W is not None:
-                break
-            for add in combinations(others, extra):
-                cand = set(T) | set(add)
-                if len(cand) - 1 <= k and induced_connected(cand, edges):
-                    W = cand
-                    break
-        # spanning tree of G[W], then greedy padding with adjacent edges
+    W = _steiner_vertices(n, edges, T)
+    if W is not None and len(W) - 1 <= k:
+        # forward witness: a spanning tree of G[W], then greedy padding with
+        # adjacent edges to exactly k blue edges
         chosen = []
         seen = {min(W)}
         grew = True

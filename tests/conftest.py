@@ -30,7 +30,7 @@ def random_redblue(n, p, seed):
 @st.composite
 def random_circuits(draw):
     """Circuits of up to 30 random gates over variables x0..x3, y0..y3 and
-    tags t0..t3, with any output."""
+    tags t0..t3, adds of two to four operands, with any output."""
     gates = []
     for gid in range(draw(st.integers(1, 30))):
         ops = ["in", "c0", "c1"] + (["add", "mul"] if gid else [])
@@ -38,7 +38,8 @@ def random_circuits(draw):
         if op == "in":
             gates.append(("in", (draw(st.sampled_from("xyt")), draw(st.integers(0, 3)))))
         elif op in ("add", "mul"):
-            gates.append((op, draw(st.integers(0, gid - 1)), draw(st.integers(0, gid - 1))))
+            n = draw(st.integers(2, 4)) if op == "add" else 2
+            gates.append((op,) + tuple(draw(st.integers(0, gid - 1)) for _ in range(n)))
         else:
             gates.append((op,))
     return Circuit(tuple(gates), draw(st.integers(0, len(gates) - 1)), 4, 4)

@@ -1,13 +1,17 @@
-"""Reference sieve evaluator: one field call per gate, through `circuits.walk`.
+"""Reference sieve evaluators, one call per gate through `circuits.walk`.
 
-This is the per-gate program that `bcslab.algebra.mldetect._eval_fast`
-replaced with the level schedule. It stays here as the reference the tests
-compare against: the same substitution gives the same values, bit for bit.
+`eval_fast` is the per-gate program that `bcslab.algebra.mldetect._eval_fast`
+replaced with the level schedule: the same substitution gives the same values,
+bit for bit. `eval_exact` keeps every rank, by exact ranked subset
+convolution over `GroupAlgebraElement`, so it also evaluates circuits that are
+not homogeneous; on a homogeneous circuit of degree K its full-mask
+coefficient is the sieve's value.
 """
 import numpy as np
 
 from bcslab.algebra.circuits import walk
 from bcslab.algebra.field import VecGF
+from bcslab.algebra.group_algebra import Backend, Basis, GroupAlgebraElement, ga_multiply
 
 
 def eval_fast(c, sub) -> np.ndarray:
@@ -39,3 +43,27 @@ def eval_fast(c, sub) -> np.ndarray:
         # constant circuit: degree 0 means no monomial of positive degree
         return np.zeros(B, dtype=np.uint64)
     return vf.from_planes(np.bitwise_xor.reduce(out, axis=-1))
+
+
+def eval_exact(c, sub) -> np.ndarray:
+    """(B, 2^K) output coefficients in the nilpotent basis, one exact ranked
+    subset convolution per gate and trial."""
+    K = sub.k_dim
+    B = sub.vectors.shape[0]
+
+    def elem(coeffs: dict) -> GroupAlgebraElement:
+        full = [0] * (1 << K)
+        for mask, x in coeffs.items():
+            full[mask] = int(x)
+        return GroupAlgebraElement(K, sub.ell, Basis.NILPOTENT, tuple(full))
+
+    def mul(a, b, _scalar):
+        return ga_multiply(a, b, Backend.SUBSET_CONVOLUTION)
+
+    out = np.zeros((B, 1 << K), dtype=np.uint64)
+    for t in range(B):
+        # tags and constants have rank 0
+        out[t] = walk(c, lambda i: elem({1 << j: x for j, x in enumerate(sub.vectors[t, i])}),
+                      lambda s: elem({0: sub.tags[t, s]}), lambda bit: elem({0: bit}),
+                      GroupAlgebraElement.add, mul).coeffs
+    return out

@@ -7,6 +7,7 @@ from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph
 from bcslab.oracle import all_witness_sets
 from bcslab.algebra.circuits import (
     Circuit,
+    _Builder,
     build_circuit_ebcs,
     build_circuit_ebp,
     build_circuit_ebt,
@@ -117,6 +118,11 @@ def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit((("add", 0, 1), ("c0",)), 0, 1, 0)  # forward reference
     with pytest.raises(ValueError):
+        Circuit((("c0",), ("c1",), ("add", 0, 1, 3)), 2, 1, 0)  # a third operand forward
+    for short in (("add",), ("add", 0)):  # an add needs two operands
+        with pytest.raises(ValueError):
+            Circuit((("c0",), short), 1, 1, 0)
+    with pytest.raises(ValueError):
         Circuit((("c0",),), 5, 1, 0)  # output out of range
     # a negative reference would read a gate from the end of the list
     for op in ("add", "mul"):
@@ -124,6 +130,8 @@ def test_circuit_validation():
             Circuit((("in", ("x", 1)), (op, -1, 0)), 1, 1, 0)
         with pytest.raises(ValueError):
             Circuit((("in", ("x", 1)), (op, 0, -2)), 1, 1, 0)
+    with pytest.raises(ValueError):
+        Circuit((("in", ("x", 1)), ("add", 0, 0, -1)), 1, 1, 0)
 
 
 def test_circuit_degrees_and_bound():
@@ -141,6 +149,8 @@ def test_dump_format():
     assert any(" = IN t" in l for l in lines)
     assert any(" = MUL " in l for l in lines)
     assert any(" = ADD " in l for l in lines) or len(lines) < 8
+    four = Circuit(tuple(("in", ("x", i)) for i in range(4)) + (("add", 0, 1, 2, 3),), 4, 1, 0)
+    assert dump_circuit(four).splitlines()[4] == "g4 = ADD g0 g1 g2 g3"
 
 
 def test_gate_sharing():
@@ -151,7 +161,8 @@ def test_gate_sharing():
 
 
 # sha256 of repr((gates, output, degree_bound, n_tags)) over BUILDER_CORPUS, first
-# 16 hex digits, as the builders with one hand-written loop per tagged sum emitted it
+# 16 hex digits, as the builders with one hand-written loop per tagged sum emitted it,
+# each sum a left-fold chain of binary adds
 BUILDER_GOLDEN = {
     ("ebcs", 2): "79d01338c1537308",
     ("ebcs", 4): "ec61b4cdd19582bf",
@@ -177,8 +188,31 @@ def test_builder_gates_golden(name, k):
     h = hashlib.sha256()
     for g in builder_corpus():
         c = BUILDERS[name](g, k)
-        h.update(repr((c.gates, c.output, c.degree_bound, c.n_tags)).encode())
+        h.update(repr((*as_binary_adds(c), c.degree_bound, c.n_tags)).encode())
     assert h.hexdigest()[:16] == BUILDER_GOLDEN[(name, k)]
+
+
+def as_binary_adds(c):
+    """(gates, output) with each add of n operands re-expanded into the
+    left-fold chain of n - 1 binary adds it sums, gates renumbered to match."""
+    gates, new = [], []
+    for g in c.gates:
+        if g[0] in ("add", "mul"):
+            ops = [new[x] for x in g[1:]]
+            gates.append((g[0], ops[0], ops[1]))
+            for x in ops[2:]:
+                gates.append(("add", len(gates) - 1, x))
+        else:
+            gates.append(g)
+        new.append(len(gates) - 1)
+    return tuple(gates), new[c.output]
+
+
+def test_addtree_is_one_gate():
+    bld = _Builder()
+    xs = [bld.var(("x", i)) for i in range(4)]
+    assert bld.addtree([]) is None and bld.addtree(xs[:1]) == xs[0]
+    assert bld.gates[bld.addtree(xs)] == ("add", *xs) and len(bld.gates) == 5
 
 
 # Reference analysis: one separate pass over the gates per quantity
@@ -198,7 +232,7 @@ def ref_degrees(c):
         if g[0] == "mul":
             deg.append(deg[g[1]] + deg[g[2]])
         elif g[0] == "add":
-            deg.append(max(deg[g[1]], deg[g[2]]))
+            deg.append(max(deg[i] for i in g[1:]))
         else:
             deg.append(1 if g[0] == "in" and g[1][0] != "t" else 0)
     return deg
@@ -207,7 +241,7 @@ def ref_degrees(c):
 def ref_homogeneous_degree(c):
     deg = ref_degrees(c)
     for g in c.gates:
-        if g[0] == "add" and deg[g[1]] != deg[g[2]]:
+        if g[0] == "add" and len({deg[i] for i in g[1:]}) > 1:
             return None
     return deg[c.output]
 
@@ -216,8 +250,8 @@ def ref_last_uses(c):
     last = list(range(len(c.gates)))
     for gid, g in enumerate(c.gates):
         if g[0] in ("add", "mul"):
-            last[g[1]] = gid
-            last[g[2]] = gid
+            for i in g[1:]:
+                last[i] = gid
     return last
 
 
@@ -256,6 +290,8 @@ def test_builder_analysis_matches_reference():
     ([("in", ("y", 3)), ("in", ("x", 0)), ("in", ("y", 3)), ("mul", 0, 2), ("mul", 3, 3)], 4),
     # the output read by a later gate
     ([("in", ("x", 1)), ("in", ("t", 0)), ("mul", 0, 1), ("add", 2, 2)], 2),
+    # an add of four operands, one repeated, of degrees 1, 2 and 1
+    ([("in", ("x", 1)), ("in", ("y", 2)), ("mul", 0, 1), ("add", 0, 2, 1, 0)], 3),
 ])
 def test_hand_made_analysis_matches_reference(gates, out):
     check_analysis(Circuit(tuple(gates), out, 2, 1))

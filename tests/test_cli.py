@@ -147,6 +147,25 @@ def test_bench_without_work_exit_two(capsys, flags, message):
     assert captured.out == "" and message in captured.err
 
 
+def test_bench_repsets_other_kind_exit_two(capsys):
+    assert main(["bench", "--algo", "repsets", "--kind", "tree", "--ks", "2", "--n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "kind=path only" in captured.err
+
+
+def test_solve_out_of_memory_exit_two(tri_path, capsys, monkeypatch):
+    # exit 1 would read as "no"; the sieve's allocation failing is no answer
+    from bcslab.algebra import mldetect
+
+    def fail(c, sub):
+        raise MemoryError
+
+    monkeypatch.setattr(mldetect, "_eval_fast", fail)
+    assert main(["solve", "--algo", "algebraic", "--kind", "path", "-k", "2", tri_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "out of memory" in captured.err
+
+
 def test_crosscheck_random_below_four_vertices_exit_two(capsys):
     assert main(["crosscheck", "--random", "2", "--random-n", "3"]) == 2
     assert "max_n" in capsys.readouterr().err

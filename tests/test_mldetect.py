@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 import mldetect_reference as ref
 from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph, validate_witness
 from bcslab.oracle import oracle_solve
-from bcslab.algebra.circuits import Circuit, build_circuit_ebp
-from bcslab.algebra.group_algebra import Basis, GroupAlgebraElement
+from bcslab.algebra.circuits import MUL, SUM, Circuit, build_circuit_ebp
 from bcslab.algebra.mldetect import (
     _BUILDERS,
     RandomizedAnswer,
@@ -92,14 +91,12 @@ def test_detect_deterministic():
 def test_fast_path_matches_exact_ranked_path():
     # same substitution through the vectorized engine and through exact
     # per-gate subset convolution over GroupAlgebraElement
-    from bcslab.algebra.mldetect import _eval_exact, _eval_fast
-
     g = random_redblue(5, 0.6, 31)
     c = build_circuit_ebp(g, 2)
     assert c.homogeneous_degree == 3
     sub = draw_substitution(5 + 1, max(1, c.n_tags), 3, 16, seed=9, batch=4)
     fast = _eval_fast(c, sub) != 0
-    exact = _eval_exact(c, sub).any(axis=1)
+    exact = ref.eval_exact(c, sub).any(axis=1)
     assert np.array_equal(fast, exact)
 
 
@@ -108,13 +105,11 @@ def test_fast_path_matches_exact_ranked_path():
 def test_exact_top_coefficient_equals_fast_value(kind, ell):
     # both paths evaluate in the same field, so the exact path's full-mask
     # coefficient is the fast path's value, not just its zero pattern
-    from bcslab.algebra.mldetect import _BUILDERS, _eval_exact, _eval_fast
-
     build, extra = _BUILDERS[kind]
     c = build(random_redblue(5, 0.6, 31), 2)
     sub = draw_substitution(len(c.var_index), c.n_tags, 2 + extra, ell, seed=9, batch=4)
     fast = _eval_fast(c, sub)
-    exact = _eval_exact(c, sub)
+    exact = ref.eval_exact(c, sub)
     assert exact.shape == (4, 1 << (2 + extra))
     assert fast.any() and exact[:, -1].tolist() == fast.tolist()
 
@@ -161,22 +156,27 @@ def test_substitution_shapes():
     assert int(sub.tags.min()) >= 1 and int(sub.tags.max()) < 1 << 16
 
 
-def test_exact_path_detects_lower_degree_monomial():
-    # degree-1 monomial with k_dim = 2 exercises the non-homogeneous fallback
+def test_run_trials_takes_homogeneous_or_zero_circuits():
+    # x1 x2 + x1 mixes degrees 2 and 1: the sieve rejects it
     c = _tiny([("in", ("x", 1)), ("in", ("x", 2)), ("mul", 0, 1), ("add", 2, 0)], 3, 2)
-    hits = sum(detect_multilinear(c, 2, 64, 4, s) for s in range(1, 11))
-    assert hits == 10
+    assert c.homogeneous_degree is None
+    with pytest.raises(ValueError):
+        run_trials(c, 2, 64, 4, seed=1)
+    # so does a homogeneous circuit of a degree below k_dim
+    with pytest.raises(ValueError):
+        run_trials(C_X1X2, 3, 64, 4, seed=1)
+    # the constant zero has degree 0 and gives no positive flag
+    zero = _tiny([("in", ("x", 1)), ("c0",)], 1, 0)
+    assert run_trials(zero, 2, 64, 4, seed=1).tolist() == [False] * 4
 
 
 def test_exact_path_constants_are_rank_zero():
-    from bcslab.algebra.mldetect import _eval_exact
-
-    # x1 + 1 + 0 mixes degrees 1 and 0, so it takes the exact path
+    # x1 + 1 + 0 mixes degrees 1 and 0; the exact reference keeps every rank
     c = _tiny([("in", ("x", 1)), ("c1",), ("add", 0, 1), ("c0",), ("add", 2, 3)], 4, 1)
     assert c.degrees() == [1, 0, 1, 0, 1]
     assert c.homogeneous_degree is None and C_SUM.homogeneous_degree == 2
     sub = draw_substitution(1, 1, 2, 64, seed=3, batch=2)
-    out = _eval_exact(c, sub)
+    out = ref.eval_exact(c, sub)
     assert out[:, 0].tolist() == [1, 1]
     assert out[:, 1:3].tolist() == sub.vectors[:, 0, :].tolist()
     assert not out[:, 3].any()
@@ -246,7 +246,7 @@ def _reachable(c):
         if g not in seen:
             seen.add(g)
             if c.gates[g][0] in ("add", "mul"):
-                stack += [c.gates[g][1], c.gates[g][2]]
+                stack += c.gates[g][1:]
     return seen
 
 
@@ -305,17 +305,20 @@ def test_level_schedule_fills_tags_and_constants(gates, out):
 def test_schedule_holds_only_reachable_gates():
     # builders leave gates the output never reads: a side of a product built
     # before its other factor turned out to be zero
-    from bcslab.algebra.circuits import SUM
-
     dead = 0
     for seed in range(6):
         g = random_redblue(6, 0.5, seed + 40)
         for kind, (build, extra) in _BUILDERS.items():
             c = build(g, 4)
+            # the sieve's contract: homogeneous of degree k_dim, or zero
+            assert c.homogeneous_degree == 4 + extra or c.gates[c.output][0] == "c0"
             live = _reachable(c)
             dead += len(c.gates) - len(live)
             muls = sum(1 for i in live if c.gates[i][0] == "mul")
+            adds = sum(1 for i in live if c.gates[i][0] == "add")
             assert sum(len(s[1]) for s in c.schedule.steps if s[0] != SUM) == muls
+            # each add gate is one sum of the schedule
+            assert sum(len(s[1]) for s in c.schedule.steps if s[0] == SUM) == adds
             # no step writes two values to one slot
             assert all(len(set(s[1].tolist())) == len(s[1]) for s in c.schedule.steps)
             if c.gates[c.output][0] != "c0":
@@ -323,14 +326,14 @@ def test_schedule_holds_only_reachable_gates():
     assert dead > 0
 
 
-def test_schedule_flattens_add_chains():
-    # x0 + x1 + x2 + x3 as a chain is one sum of four terms; an add that a
-    # multiply also reads stays a value of its own
+def test_schedule_sums_an_add_in_one_step():
+    # x0 + x1 + x2 + x3 is one sum of four terms; an add that a multiply also
+    # reads keeps a slot of its own
     x = [("in", ("x", i)) for i in range(4)]
-    chain = _tiny(x + [("add", 0, 1), ("add", 4, 2), ("add", 5, 3)], 6, 1)
-    (kind, out, terms, starts), = chain.schedule.steps
-    assert starts.tolist() == [0, 4] and sorted(terms.tolist()) == [0, 1, 2, 3]
-    shared = _tiny(x + [("add", 0, 1), ("add", 4, 2), ("mul", 4, 3), ("add", 5, 6)], 7, 2)
-    assert sorted(len(s[1]) for s in shared.schedule.steps) == [1, 1, 1]
-    for c, k_dim in ((chain, 1), (shared, 2)):
+    four = _tiny(x + [("add", 0, 1, 2, 3)], 4, 1)
+    (kind, out, terms, starts), = four.schedule.steps
+    assert kind == SUM and starts.tolist() == [0, 4] and sorted(terms.tolist()) == [0, 1, 2, 3]
+    shared = _tiny(x + [("add", 0, 1), ("mul", 4, 3), ("add", 4, 2, 5)], 6, 2)
+    assert [(s[0], len(s[1])) for s in shared.schedule.steps] == [(SUM, 1), (MUL, 1), (SUM, 1)]
+    for c, k_dim in ((four, 1), (shared, 2)):
         _same_as_reference(c, k_dim, 64, 3, seed=2)
