@@ -53,7 +53,13 @@ from .algebra.group_algebra import (
     ga_zero,
     one_plus_v,
 )
-from .algebra.mldetect import RandomizedAnswer, Substitution, detect_multilinear, randomized_solve
+from .algebra.mldetect import (
+    RandomizedAnswer,
+    Substitution,
+    WitnessExtractionError,
+    detect_multilinear,
+    randomized_solve,
+)
 from .reductions import (
     GeneratedInstance,
     longest_path_from,

@@ -32,7 +32,9 @@ one loop over its gates for any choice of value rules; `expand_multilinear`
 and the tests' reference evaluators go through it. A second pass, from the
 output down, builds the sieve's level schedule (`Schedule`): only the gates
 the output reads, grouped by level into general multiplies, multiplies by a
-tag and sums, with value slots reused once a value's last reader has run.
+tag and sums, with value slots reused once a value's last reader has run. A
+tag times a product that no other gate reads (the analysis counts each
+gate's readers) is one multiply that carries the tag.
 """
 from __future__ import annotations
 
@@ -81,7 +83,9 @@ class Circuit:
         deg = [0] * n
         last = list(range(n))
         side = [0] * n
+        readers = [0] * n
         tags = set()
+        inputs = set()
         homogeneous = True
         # one loop, the common gates first: it runs on every circuit built
         for gid, g in enumerate(gates):
@@ -91,6 +95,8 @@ class Circuit:
                 if not (0 <= i < gid and 0 <= j < gid):
                     raise ValueError("gate references must precede the gate")
                 last[i] = last[j] = gid
+                readers[i] += 1
+                readers[j] += 1
                 deg[gid] = deg[i] + deg[j]
                 if i in tags:
                     side[gid] = 1
@@ -103,6 +109,7 @@ class Circuit:
                     if not 0 <= i < gid:
                         raise ValueError("gate references must precede the gate")
                     last[i] = gid
+                    readers[i] += 1
                 ds = [deg[i] for i in g[1:]]
                 deg[gid] = max(ds)
                 if min(ds) != deg[gid]:
@@ -113,6 +120,7 @@ class Circuit:
                     tags.add(gid)
                 else:
                     var_index.setdefault(key, len(var_index))
+                    inputs.add(gid)
                     deg[gid] = 1
         last[self.output] = n
         put = object.__setattr__
@@ -121,7 +129,7 @@ class Circuit:
         put(self, "tag_side", side)
         put(self, "homogeneous_degree", deg[self.output] if homogeneous else None)
         put(self, "_degrees", deg)
-        put(self, "schedule", _schedule(gates, self.output, side, var_index))
+        put(self, "schedule", _schedule(gates, self.output, side, readers, inputs, var_index))
 
     def degrees(self) -> list:
         """Structural degree of every gate; tags and constants have degree 0."""
@@ -136,14 +144,20 @@ class Schedule:
     """The gates the output reads, grouped by level and kind, over a buffer of
     n_slots value slots.
 
-    Slots 0 .. len(leaves) - 1 hold the structural variables numbered leaves
-    (c.var_index numbers); each fill (slot, kind, index) holds a tag ('t', s)
-    or a constant ('c', bit) that a gate reads as a value. A step
-    (kind, out, a, b) sets slot out[g] for every g:
+    Slot i < len(leaves) starts out holding leaf i, the structural variable
+    numbered leaves[i] (c.var_index numbers); each fill (slot, kind, index)
+    holds a tag ('t', s) or a constant ('c', bit) that a gate reads as a value.
+    A step sets slot out[g] for every g:
 
-    * MUL: the product of slots a[g] and b[g];
-    * TAG_MUL: the product of slot a[g] and tag b[g];
-    * SUM: the XOR of slots a[b[g]:b[g + 1]], at least two of them.
+    * (MUL, out, a, b, t, n_leaf): the product of slots a[g] and b[g], times
+      tag t[g] where t[g] >= 0; t is None when no product of the step carries
+      a tag. A tag times a product that nothing else reads is one such entry.
+      The first n_leaf entries have a structural variable as their factor
+      a[g]; its slot is then its leaf number, which an evaluator may use to
+      read values it keeps per leaf. Other slots below len(leaves) are not
+      leaves once they have been reused;
+    * (TAG_MUL, out, a, b): the product of slot a[g] and tag b[g];
+    * (SUM, out, a, b): the XOR of slots a[b[g]:b[g + 1]], at least two of them.
 
     Steps come level by level and a step reads only values of lower levels. A
     slot is given to a new value only after the level of its old value's last
@@ -158,20 +172,26 @@ class Schedule:
     output: int
 
 
-def _schedule(gates: tuple, out: int, side: list, var_index: dict) -> Schedule:
-    """Level the gates the output reads (Circuit.__post_init__ has checked them).
+def _schedule(gates: tuple, out: int, side: list, readers: list, inputs: set,
+              var_index: dict) -> Schedule:
+    """Level the gates the output reads (Circuit.__post_init__ has checked them
+    and counted each gate's readers; inputs are the structural variables' gates).
 
     One pass from the output down, so that a gate is reached after every gate
     that reads it. A gate's height is one more than its highest reader's, the
     output's is 0, and the levels run from the greatest height down: each
     value is made just before its first reader needs it. A tag read as a
-    multiplier's scalar side is not a value and gets no slot.
+    multiplier's scalar side is not a value and gets no slot. A tag times an
+    untagged product that nothing else reads is one multiply carrying the tag,
+    made at the product's level; the product itself is never reached.
     """
     height = [0] * (out + 1)
     # the height of the gate's last reader; out + 1 until a reader is reached
     last = [out + 1] * (out + 1)
-    # per height: MUL and TAG_MUL entries flat (gate, operand, operand or tag),
-    # SUM entries (gate, term gates), and the values whose last reader is there
+    # per height: MUL entries flat (gate, factor, factor, tag or -1), those
+    # with a structural variable (taken as the first factor) apart; TAG_MUL
+    # entries flat (gate, operand, tag); SUM entries (gate, term gates); and
+    # the values whose last reader is there
     levels: List[tuple] = []
     leaves: List[int] = []
     fills: List[int] = []
@@ -180,7 +200,7 @@ def _schedule(gates: tuple, out: int, side: list, var_index: dict) -> Schedule:
         if last[gid] > out:
             continue
         if last[gid] >= 0:
-            levels[last[gid]][3].append(gid)
+            levels[last[gid]][4].append(gid)
         g = gates[gid]
         op = g[0]
         if op != "mul" and op != "add":
@@ -188,17 +208,29 @@ def _schedule(gates: tuple, out: int, side: list, var_index: dict) -> Schedule:
             continue
         e = height[gid]
         if e == len(levels):
-            levels.append(([], [], [], []))
+            levels.append(([], [], [], [], []))
         s = side[gid]
         if op == "add":
             operands = g[1:]
             levels[e][SUM].append((gid, operands))
-        elif s:
+        elif s and (gates[g[3 - s]][0] != "mul" or side[g[3 - s]] or readers[g[3 - s]] > 1):
             levels[e][TAG_MUL].extend((gid, g[3 - s], gates[g[s]][1][1]))
             operands = (g[3 - s],)
         else:
-            levels[e][MUL].extend((gid, g[1], g[2]))
-            operands = (g[1], g[2])
+            t = -1
+            if s:
+                # the tag's product is read here only: multiply its factors and
+                # the tag at the product's own level, so no other gate moves
+                t = gates[g[s]][1][1]
+                g = gates[g[3 - s]]
+                e += 1
+                if e == len(levels):
+                    levels.append(([], [], [], [], []))
+            x, y = g[1], g[2]
+            if y in inputs:
+                x, y = y, x
+            levels[e][3 if x in inputs else MUL].extend((gid, x, y, t))
+            operands = (x, y)
         for x in operands:
             if height[x] <= e:
                 height[x] = e + 1
@@ -213,12 +245,14 @@ def _schedule(gates: tuple, out: int, side: list, var_index: dict) -> Schedule:
     free: List[int] = []
     flat: tuple = ([], [], [])  # MUL and TAG_MUL entries and SUM term gates, level by level
     sum_out, sum_len = [], [0]
-    spans = []  # (kind, first entry, end)
-    for muls, tag_muls, sums, dying in reversed(levels):
-        for kind, outs in ((MUL, muls[::3]), (TAG_MUL, tag_muls[::3]),
-                           (SUM, [v for v, _ in sums])):
-            if not outs:
+    spans = []  # (kind, first entry, end, MUL entries with a leaf factor, tagged)
+    for muls, tag_muls, sums, leaf_muls, dying in reversed(levels):
+        for kind, entries, n_leaf in ((MUL, leaf_muls + muls, len(leaf_muls) // 4),
+                                      (TAG_MUL, tag_muls, 0), (SUM, sums, 0)):
+            if not entries:
                 continue
+            width = 4 if kind == MUL else 3  # flat MUL and TAG_MUL entries
+            outs = [v for v, _ in entries] if kind == SUM else entries[::width]
             for v in outs:
                 if free:
                     slot[v] = free.pop()
@@ -226,30 +260,34 @@ def _schedule(gates: tuple, out: int, side: list, var_index: dict) -> Schedule:
                     slot[v] = n_slots
                     n_slots += 1
             if kind == SUM:
-                spans.append((SUM, len(sum_out), len(sum_out) + len(outs)))
+                spans.append((SUM, len(sum_out), len(sum_out) + len(outs), 0, False))
                 sum_out += outs
-                for _, terms in sums:
+                for _, terms in entries:
                     sum_len.append(len(terms))
                     flat[SUM].extend(terms)
             else:
-                lo = len(flat[kind]) // 3
-                spans.append((kind, lo, lo + len(outs)))
-                flat[kind].extend(muls if kind == MUL else tag_muls)
+                lo = len(flat[kind]) // width
+                spans.append((kind, lo, lo + len(outs), n_leaf,
+                              kind == MUL and max(entries[3::4]) >= 0))
+                flat[kind].extend(entries)
         free += [slot[v] for v in dying]
     at = np.array(slot, dtype=np.intp)
-    muls = at[np.array(flat[MUL], dtype=np.intp).reshape(-1, 3).T]
+    muls = np.array(flat[MUL], dtype=np.intp).reshape(-1, 4).T
+    muls[:3] = at[muls[:3]]  # a leaf's slot is its number
     tag_muls = np.array(flat[TAG_MUL], dtype=np.intp).reshape(-1, 3).T
     tag_muls[:2] = at[tag_muls[:2]]
     sum_slots = at[np.array(sum_out, dtype=np.intp)]
     terms = at[np.array(flat[SUM], dtype=np.intp)]
     starts = np.cumsum(sum_len, dtype=np.intp)
     steps = []
-    for kind, lo, hi in spans:
+    for kind, lo, hi, n_leaf, tagged in spans:
         if kind == SUM:
             steps.append((SUM, sum_slots[lo:hi], terms, starts[lo : hi + 1]))
+        elif kind == TAG_MUL:
+            steps.append((TAG_MUL, tag_muls[0, lo:hi], tag_muls[1, lo:hi], tag_muls[2, lo:hi]))
         else:
-            m = muls if kind == MUL else tag_muls
-            steps.append((kind, m[0, lo:hi], m[1, lo:hi], m[2, lo:hi]))
+            steps.append((MUL, muls[0, lo:hi], muls[1, lo:hi], muls[2, lo:hi],
+                          muls[3, lo:hi] if tagged else None, n_leaf))
     return Schedule(n_slots, np.array([var_index[gates[v][1]] for v in leaves], dtype=np.intp),
                     tuple((slot[v], "t", gates[v][1][1]) if gates[v][0] == "in"
                           else (slot[v], "c", gates[v][0] == "c1") for v in fills),

@@ -121,6 +121,7 @@ class VecGF:
             raise ValueError("l must be one of 16, 32, 64")
         self.ell = ell
         self._levels = (ell // 16).bit_length() - 1  # tower levels above GF(2^16)
+        self.n_leaves = 3 ** self._levels  # Karatsuba leaves of one operand
         terms = _tower_terms(ell)
         products = sorted(set().union(*terms))
         # product -> leaf; per product the log of C^e; per output limb its products
@@ -152,12 +153,34 @@ class VecGF:
             np.bitwise_xor(x[x0], x[x1], out=x[x01])
         return x.reshape((3 ** self._levels,) + a.shape[1:])
 
-    def mul(self, a, b):
-        """Product of limb planes a and b."""
-        s = _LOG.take(self._leaves(a)) + _LOG.take(self._leaves(b))
-        s = s.take(self._leaf, axis=0)
-        s += self._clog.reshape((-1,) + (1,) * (s.ndim - 1))
-        p = _EXP.take(s)
+    def leaf_logs(self, a, out):
+        """Limb planes (2^L, ...) -> the logs of their Karatsuba leaves, written
+        to out, int32 of shape (n_leaves = 3^L, ...), which `mul` takes in
+        place of the planes."""
+        # every uint16 leaf indexes the table: clip never acts, and unlike the
+        # default mode it writes to out without a buffer
+        _LOG.take(self._leaves(a), out=out, mode="clip")
+
+    def _logs(self, a):
+        """Leaf logs of limb planes a, or a itself when it is leaf logs."""
+        return a if a.dtype is _LOG.dtype else _LOG.take(self._leaves(a))
+
+    def mul(self, a, b, s=None):
+        """Product of a and b, times s when s is given.
+
+        a and b are limb planes, or an operand's leaf logs as `leaf_logs`
+        writes them (int32), which spares taking its leaves again. s is a
+        nonzero element of the GF(2^16) subfield as limb planes, of which only
+        s[0] is read, as in `mul_scalar16`: its log joins each product's
+        constant log(C^e), mod 65535, so that s a b costs what a b costs.
+        """
+        t = self._logs(a) + self._logs(b)
+        t = t.take(self._leaf, axis=0)
+        c = self._clog.reshape((-1,) + (1,) * (t.ndim - 1))
+        if s is not None:
+            c = (c + _LOG.take(s[0])) % 65535
+        t += c
+        p = _EXP.take(t)
         return np.bitwise_xor.reduce(p.take(self._out, axis=0), axis=1)
 
     def mul_scalar16(self, a, s):

@@ -19,28 +19,42 @@ ring coefficient. An exact ranked evaluator per gate is kept with the tests,
 as the reference this one is compared against.
 
 The sieve runs the level schedule built with the circuit
-(`Circuit.schedule`) in one buffer of value slots, each (P, B, 2^K) limb
+(`Circuit.schedule`) in one buffer of value slots, each (P, B, W) limb
 planes. A group of a level, its general multiplies, its multiplies by a
 GF(2^16) tag or its sums, is one stacked `VecGF.mul`, one `mul_scalar16` or
-one XOR-reduce over gathered operands. No call gathers more than a fixed
-byte budget per operand. A multiply group that exceeds it is split into
-several calls, and where one gate's vectors alone fill it (B = 31 at K = 9)
-the gates run one at a time on slot views. A sum group that
-exceeds it is XORed in place, term by term. Small circuits are then a few
-calls per level instead of one per gate, and wide vectors cost what one
-call per gate costs. Nothing is analysed per call, so a `run_trials` call
-makes no pass over the gates.
+one XOR-reduce over gathered operands. A tag times a product that nothing
+else reads is one `VecGF.mul` that carries the tag. Where multiplies run
+gate by gate, or the circuit spans several column ranges, the Karatsuba leaf
+logs of every variable are taken once per range, and a multiply with a
+variable as a factor reads them in its place. No call gathers more than a
+fixed byte budget per operand. A multiply group that exceeds it is split
+into several calls, and where one gate's vectors alone fill it (B = 31 at
+K = 9) the gates run one at a time on slot views. A sum group that exceeds
+it is XORed in place, term by term. Small circuits are then a few calls per
+level instead of one per gate, and wide vectors cost what one call per gate
+costs. Nothing is analysed per call, so a `run_trials` call makes no pass
+over the gates.
+
+Every zeta entry is the circuit evaluated at one subset S, so the 2^K
+columns are independent (the polynomial-space argument of inclusion and
+exclusion). The buffer is W = 2^w columns wide, the widest power of two at
+which the slots and the leaf logs fit a byte budget, and the schedule runs
+once per range of W columns. A range starts from the XOR of the
+coefficients of its high bits, and the output is the XOR of the ranges'
+partial reductions, the same bits as one run over all 2^K columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from ..graphs import RedBlueGraph, Witness, WitnessKind, require_even_k, validate_witness
-from .circuits import MUL, SUM, Circuit, build_circuit_ebcs, build_circuit_ebp, build_circuit_ebt
+from .circuits import (MUL, SUM, TAG_MUL, Circuit, build_circuit_ebcs, build_circuit_ebp,
+                       build_circuit_ebt)
 from .field import VecGF
 
 _TAG_ELL = 16  # tags live in the GF(2^16) subfield; cheap limb-wise products
@@ -76,6 +90,10 @@ def draw_substitution(
 # sum group that exceeds it is XORed in place, term by term. At l = 64 a field multiply's temporaries take about 25 times its operand
 # bytes, so one call's working set stays under 1 MB, within a 2 MB L2 cache.
 _BUDGET = 1 << 15
+# Bytes of value slots and leaf logs one run of the schedule may hold. A
+# circuit that needs more at full width runs over column ranges of the subset
+# axis, one after another, each the widest power of two that fits.
+_CHUNK_BUDGET = 1 << 23
 
 
 @lru_cache(maxsize=None)
@@ -83,10 +101,20 @@ def _field(ell: int) -> VecGF:
     return VecGF(ell)
 
 
+def _chunk_bits(c: Circuit, ell: int, batch: int, k_dim: int) -> int:
+    """log2 of the width of the column ranges `_eval_fast` runs c over."""
+    sch = c.schedule
+    # per column: every slot's uint16 limb planes, and every leaf's int32 leaf
+    # logs, counted whether or not they are taken
+    col = batch * (ell // 8 * sch.n_slots + 4 * _field(ell).n_leaves * len(sch.leaves))
+    return min(k_dim, max(0, (_CHUNK_BUDGET // col).bit_length() - 1))
+
+
 def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
     """(B,) output top-rank coefficients of a circuit homogeneous of degree K,
     or zeros for the constant zero, by running c.schedule on subset-zeta
-    vectors of shape (B, 2^K)."""
+    vectors of shape (B, 2^K), over column ranges of the subset axis that fit
+    _CHUNK_BUDGET."""
     K = sub.k_dim
     B = sub.vectors.shape[0]
     if K == 0:
@@ -94,52 +122,90 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
         return np.zeros(B, dtype=np.uint64)
     sch = c.schedule
     vf = _field(sub.ell)
-    # slot s holds limb planes buf[s] of shape (P, B, 2^K)
-    buf = np.empty((sch.n_slots, sub.ell // 16, B, 1 << K), dtype=np.uint16)
-    # the variables' subset-zeta vectors: entry S is the XOR of coefficients j in S
+    w = _chunk_bits(c, sub.ell, B, K)
+    # slot s holds limb planes buf[s] of shape (P, B, 2^w)
+    buf = np.empty((sch.n_slots, sub.ell // 16, B, 1 << w), dtype=np.uint16)
     z = buf[: len(sch.leaves)]
     cv = vf.to_planes(sub.vectors[:, sch.leaves, :].transpose(1, 0, 2)).transpose(1, 0, 2, 3)
-    z[..., 0] = 0
-    for j in range(K):
-        blk = 1 << j
-        np.bitwise_xor(z[..., :blk], cv[..., j : j + 1], out=z[..., blk : 2 * blk])
-    # tags and constants are constant vectors: (P, ntags, B, 1) broadcasts
-    tags = vf.to_planes(sub.tags.T[..., None])
-    for slot, kind, x in sch.fills:
-        buf[slot] = tags[:, x] if kind == "t" else 0
-        if kind == "c" and x:
-            buf[slot, 0] = 1
+    # tags and constants are constant vectors: (P, ntags + 1, B, 1) broadcasts;
+    # the last tag is one, for the untagged products of a step with tags
+    tags = np.ones((sub.tags.shape[1] + 1, B, 1), dtype=np.uint64)
+    tags[:-1, :, 0] = sub.tags.T
+    tags = vf.to_planes(tags)
     # sums XOR the same bytes in words of up to 64 bits
-    xv = buf.view(np.uint64 if K >= 2 else np.uint32)
+    xv = buf.view(np.uint64 if w >= 2 else np.uint32 if w == 1 else np.uint16)
     chunk = _BUDGET // buf[0].nbytes
     mul, mul16, xor = vf.mul, vf.mul_scalar16, np.bitwise_xor
-    for kind, out, a, b in sch.steps:
-        if kind == SUM:
-            lo, hi = int(b[0]), int(b[-1])
-            if hi - lo <= chunk:
-                xv[out] = xor.reduceat(xv[a[lo:hi]], b[:-1] - lo)
+    # Leaf logs pay where work per element dominates: gate by gate, and in
+    # the stacked calls of a circuit too large for one column range. A small
+    # circuit's calls are bound by their count, and gathering logs, 4.5 times
+    # the bytes of planes, would only raise its peak memory.
+    per_call = max(chunk, 1)
+    logs, acc = None, 0
+    if (chunk <= 1 or w < K) and any(s[0] == MUL and s[5] >= per_call for s in sch.steps):
+        # leaf i's logs are logs[i], of shape (3^L, B, 2^w)
+        logs = np.empty((len(sch.leaves), vf.n_leaves) + z.shape[2:], dtype=np.int32)
+    for r in range(1 << (K - w)):
+        # the variables' subset-zeta vectors on columns r * 2^w + lo: entry S is
+        # the XOR of coefficients j in S, those of the high bits j >= w first
+        high = [w + j for j in range(K - w) if r >> j & 1]
+        z[..., 0] = xor.reduce(cv[..., high], axis=-1) if high else 0
+        for j in range(w):
+            blk = 1 << j
+            xor(z[..., :blk], cv[..., j : j + 1], out=z[..., blk : 2 * blk])
+        # each leaf's logs once, which the multiplies with that leaf as their
+        # factor a read by its leaf number in place of its slot
+        if logs is not None:
+            for leaf, out in zip(z, logs):  # one leaf a call keeps the temporaries small
+                vf.leaf_logs(leaf, out)
+        for slot, kind, x in sch.fills:
+            buf[slot] = tags[:, x] if kind == "t" else 0
+            if kind == "c" and x:
+                buf[slot, 0] = 1
+        for kind, out, a, b, *rest in sch.steps:
+            if kind == SUM:
+                lo, hi = int(b[0]), int(b[-1])
+                if hi - lo <= chunk:
+                    xv[out] = xor.reduceat(xv[a[lo:hi]], b[:-1] - lo)
+                    continue
+                # too many terms to gather: XOR each into its sum's slot in place
+                for o, first, end in zip(out.tolist(), b[:-1].tolist(), b[1:].tolist()):
+                    terms = a[first:end].tolist()
+                    v = xv[o]
+                    xor(xv[terms[0]], xv[terms[1]], out=v)
+                    for t in terms[2:]:
+                        xor(v, xv[t], out=v)
                 continue
-            # too many terms to gather: XOR each into its sum's slot in place
-            for o, first, end in zip(out.tolist(), b[:-1].tolist(), b[1:].tolist()):
-                terms = a[first:end].tolist()
-                acc = xv[o]
-                xor(xv[terms[0]], xv[terms[1]], out=acc)
-                for t in terms[2:]:
-                    xor(acc, xv[t], out=acc)
-        elif chunk <= 1:
-            if kind == MUL:
-                for o, x, y in zip(out.tolist(), a.tolist(), b.tolist()):
-                    buf[o] = mul(buf[x], buf[y])
-            else:
-                for o, x, t in zip(out.tolist(), a.tolist(), b.tolist()):
-                    buf[o] = mul16(buf[x], tags[:, t])
-        else:
-            for s in range(0, len(out), chunk):
-                # gathered as (g, P, B, 2^K); the field wants the limb axis first
-                x, y = buf[a[s : s + chunk]].swapaxes(0, 1), b[s : s + chunk]
-                p = mul(x, buf[y].swapaxes(0, 1)) if kind == MUL else mul16(x, tags[:, y])
-                buf[out[s : s + chunk]] = p.swapaxes(0, 1)
-    return vf.from_planes(xor.reduce(buf[sch.output], axis=-1))
+            if kind == TAG_MUL:
+                if chunk <= 1:
+                    for o, x, t in zip(out.tolist(), a.tolist(), b.tolist()):
+                        buf[o] = mul16(buf[x], tags[:, t])
+                    continue
+                for s in range(0, len(out), chunk):
+                    # gathered as (g, P, B, 2^w); the field wants the limb axis first
+                    part = slice(s, s + chunk)
+                    p = mul16(buf[a[part]].swapaxes(0, 1), tags[:, b[part]])
+                    buf[out[part]] = p.swapaxes(0, 1)
+                continue
+            tg, n_leaf = rest
+            # whole calls of multiplies with a leaf factor read the leaf logs;
+            # the rest, less than one call's worth, take their leaves again
+            cut = 0 if logs is None else n_leaf - n_leaf % per_call
+            for src, lo, hi in ((logs, 0, cut), (buf, cut, len(out))):
+                if chunk <= 1:
+                    ts = repeat(None) if tg is None else tg[lo:hi].tolist()
+                    for o, x, y, t in zip(out[lo:hi].tolist(), a[lo:hi].tolist(),
+                                          b[lo:hi].tolist(), ts):
+                        x, y = src[x], buf[y]
+                        buf[o] = mul(x, y) if t is None else mul(x, y, tags[:, t])
+                    continue
+                for s in range(lo, hi, chunk):
+                    part = slice(s, s + chunk)
+                    x, y = src[a[part]].swapaxes(0, 1), buf[b[part]].swapaxes(0, 1)
+                    p = mul(x, y) if tg is None else mul(x, y, tags[:, tg[part]])
+                    buf[out[part]] = p.swapaxes(0, 1)
+        acc ^= xor.reduce(buf[sch.output], axis=-1)
+    return vf.from_planes(acc)
 
 
 def run_trials(c: Circuit, k_dim: int, ell: int, trials: int, seed: int,
@@ -185,6 +251,14 @@ class RandomizedAnswer:
     witness: Optional[Witness]
 
 
+class WitnessExtractionError(RuntimeError):
+    """The sieve answered yes, but no deletion pass left a valid witness."""
+
+
+# Deletion passes of witness extraction, each on fresh seeds, before it gives up
+_WITNESS_PASSES = 3
+
+
 def randomized_solve(
     G: RedBlueGraph,
     k: int,
@@ -194,7 +268,13 @@ def randomized_solve(
     want_witness: bool = False,
     ell: int = 64,
 ) -> RandomizedAnswer:
-    """One-sided randomized decision (and optional witness by self-reduction)."""
+    """One-sided randomized decision (and optional witness by self-reduction).
+
+    The witness is found by deleting each edge whose removal keeps the answer
+    yes. A one-sided miss keeps an edge the witness does not need, so a pass
+    whose edges do not validate is run again on fresh seeds, and after
+    _WITNESS_PASSES such passes WitnessExtractionError is raised.
+    """
     require_even_k(k)
     if trials is None:
         trials = max(16, k)
@@ -212,15 +292,18 @@ def randomized_solve(
     if not want_witness:
         return RandomizedAnswer(True, None)
 
-    kept = list(range(G.m))
-    step = 0
-    for e in list(kept):
-        cand = [i for i in kept if i != e]
-        step += 1
-        sub = G.subgraph_of_edges(cand)
-        if len(cand) >= k and decide(sub, seed * 1_000_003 + step):
-            kept = cand
-    w = Witness(kind, tuple(kept))
-    if validate_witness(G, w, k).valid:
-        return RandomizedAnswer(True, w)
-    return RandomizedAnswer(True, None)
+    step = 0  # every decision of every pass draws from its own seed
+    for _ in range(_WITNESS_PASSES):
+        kept = list(range(G.m))
+        for e in range(G.m):
+            cand = [i for i in kept if i != e]
+            step += 1
+            sub = G.subgraph_of_edges(cand)
+            if len(cand) >= k and decide(sub, seed * 1_000_003 + step):
+                kept = cand
+        w = Witness(kind, tuple(kept))
+        if validate_witness(G, w, k).valid:
+            return RandomizedAnswer(True, w)
+    raise WitnessExtractionError(
+        f"the sieve answered yes, but {_WITNESS_PASSES} deletion passes left no valid "
+        "witness; rerun with more trials or another seed")

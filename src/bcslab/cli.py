@@ -29,7 +29,7 @@ from .oracle import OracleBudgetError, SolveMode, oracle_count, oracle_solve
 from .colorcoding import colorful_dp, family_driver, random_coloring_driver, random_labels
 from .repsets import solve_ebp_repsets
 from .splitsolver import NotASplitGraphError, solve_split_ebcs
-from .algebra.mldetect import _BUILDERS, randomized_solve, run_trials
+from .algebra.mldetect import _BUILDERS, WitnessExtractionError, randomized_solve, run_trials
 from .shrink import ShrinkPreconditionError, shrink_to_range
 from .reductions import longest_path_split_to_ebp, steiner_to_ebcs
 from . import corpus as corpus_mod
@@ -365,8 +365,8 @@ def main(argv: Optional[list] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphFormatError, ValueError, NotASplitGraphError,
-            ShrinkPreconditionError, OracleBudgetError, OSError) as exc:
+    except (GraphFormatError, ValueError, NotASplitGraphError, ShrinkPreconditionError,
+            OracleBudgetError, WitnessExtractionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError:

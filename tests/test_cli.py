@@ -64,6 +64,25 @@ def test_solve_deterministic_modulo_millis(tri_path, capsys):
     assert strip(out1) == strip(out2)
 
 
+def test_solve_witness_extraction_failure_exit_two(tri_path, capsys, monkeypatch):
+    # the sieve says yes on the whole graph and misses on every smaller one, so
+    # no deletion pass leaves a valid witness: an error, not yes without one
+    from bcslab.algebra import mldetect
+
+    calls = []
+
+    def detect(*args):
+        calls.append(args)
+        return len(calls) == 1
+
+    monkeypatch.setattr(mldetect, "detect_multilinear", detect)
+    code = main(["solve", "--algo", "algebraic", "--kind", "path", "-k", "2", "--witness",
+                 tri_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "no valid witness" in captured.err and "Traceback" not in captured.err
+
+
 def test_oracle_count(tri_path, capsys):
     code, out = _run(capsys, ["oracle", "--kind", "path", "-k", "2", "--count", tri_path])
     assert code == 0 and json.loads(out)["count"] == 2

@@ -279,7 +279,8 @@ def test_level_schedule_matches_per_gate_reference(case, ell, batch, seed):
 @pytest.mark.parametrize("batch,per_call", [(1, 8), (4, 2), (31, 0)])
 def test_level_schedule_on_wide_vectors(batch, per_call):
     # path k = 8 at l = 64 (four limb planes of 2^9-wide vectors): 8 gates a
-    # call at B = 1, two at B = 4, and one at a time on slot views at B = 31
+    # call at B = 1, two at B = 4, and one at a time on slot views at B = 31,
+    # where the columns run in two ranges of 2^8
     from bcslab.algebra.mldetect import _BUDGET
 
     assert _BUDGET // (4 * 2 * batch << 9) == per_call
@@ -316,7 +317,10 @@ def test_schedule_holds_only_reachable_gates():
             dead += len(c.gates) - len(live)
             muls = sum(1 for i in live if c.gates[i][0] == "mul")
             adds = sum(1 for i in live if c.gates[i][0] == "add")
-            assert sum(len(s[1]) for s in c.schedule.steps if s[0] != SUM) == muls
+            # a multiply entry that carries a tag stands for the tag's multiply too
+            folded = sum(int((s[4] >= 0).sum()) for s in c.schedule.steps
+                         if s[0] == MUL and s[4] is not None)
+            assert sum(len(s[1]) for s in c.schedule.steps if s[0] != SUM) + folded == muls
             # each add gate is one sum of the schedule
             assert sum(len(s[1]) for s in c.schedule.steps if s[0] == SUM) == adds
             # no step writes two values to one slot
@@ -337,3 +341,162 @@ def test_schedule_sums_an_add_in_one_step():
     assert [(s[0], len(s[1])) for s in shared.schedule.steps] == [(SUM, 1), (MUL, 1), (SUM, 1)]
     for c, k_dim in ((four, 1), (shared, 2)):
         _same_as_reference(c, k_dim, 64, 3, seed=2)
+
+
+# Column chunks of the subset axis, folded tags and the leaf logs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(random_circuits(), st.integers(1, 9)), builder_circuits()),
+       st.sampled_from([16, 32, 64]), st.sampled_from([1, 31]), st.integers(0, 2**32),
+       st.sampled_from([1, 1 << 12, 1 << 16]), st.sampled_from([1, 64, 1 << 15]))
+def test_level_schedule_in_column_chunks_matches_reference(case, ell, batch, seed, budget,
+                                                           per_call):
+    # a one-byte budget runs every circuit on columns one at a time; the others
+    # split the wider ones into ranges of several columns. Small per-call
+    # budgets run multiplies gate by gate, or split their groups, and so read
+    # the leaf logs
+    from bcslab.algebra import mldetect
+
+    c, k_dim = case
+    saved = mldetect._CHUNK_BUDGET, mldetect._BUDGET
+    mldetect._CHUNK_BUDGET, mldetect._BUDGET = budget, per_call
+    try:
+        if budget == 1:
+            assert mldetect._chunk_bits(c, ell, batch, k_dim) == 0
+        _same_as_reference(c, k_dim, ell, batch, seed)
+    finally:
+        mldetect._CHUNK_BUDGET, mldetect._BUDGET = saved
+
+
+@pytest.mark.parametrize("width", [0, 3, 6])
+def test_column_chunks_on_wide_vectors(monkeypatch, width):
+    # path k = 8 at l = 64 and B = 31, its 2^9 columns in ranges of 2^width:
+    # gate by gate on slot views at width 6 and stacked below it
+    from bcslab.algebra import mldetect
+
+    c = build_circuit_ebp(random_redblue(10, 0.3, 4), 8)
+    for e in range(40):
+        monkeypatch.setattr(mldetect, "_CHUNK_BUDGET", 1 << e)
+        if mldetect._chunk_bits(c, 64, 31, 9) == width:
+            break
+    assert mldetect._chunk_bits(c, 64, 31, 9) == width
+    assert _same_as_reference(c, 9, 64, 31, seed=5).any()
+
+
+def test_chunk_width_fits_the_budget(monkeypatch):
+    # the widest power of two whose slots and leaf logs fit the budget
+    from bcslab.algebra import mldetect
+    from bcslab.algebra.field import VecGF
+
+    c = build_circuit_ebp(random_redblue(10, 0.3, 4), 8)
+    assert mldetect._chunk_bits(c, 64, 31, 9) < 9  # B = 31 splits this circuit
+    sch = c.schedule
+    for ell, batch in ((16, 1), (64, 1), (64, 31)):
+        # uint16 slot planes and int32 leaf logs per column of the range
+        col = batch * (ell // 8 * sch.n_slots + 4 * VecGF(ell).n_leaves * len(sch.leaves))
+        for j in range(11):
+            monkeypatch.setattr(mldetect, "_CHUNK_BUDGET", col << j)
+            assert mldetect._chunk_bits(c, ell, batch, 9) == min(j, 9)
+            monkeypatch.setattr(mldetect, "_CHUNK_BUDGET", (col << j) - 1)
+            assert mldetect._chunk_bits(c, ell, batch, 9) == min(max(j - 1, 0), 9)
+
+
+# x0 x1 x2 x3 two ways: the product of x0 x1 dies after the first level, and
+# x0 x1 x2 then takes a leaf's slot, where the output's multiply reads it
+# (as the second factor of x3 times it, and as a factor of a product of two
+# products, the other x3 times a tag)
+_REUSED = [
+    [("in", ("x", i)) for i in range(4)] + [("mul", 0, 1), ("mul", 4, 2), ("mul", 5, 3)],
+    [("in", ("x", i)) for i in range(4)] + [("in", ("t", 0)), ("mul", 0, 1), ("mul", 5, 2),
+                                          ("mul", 3, 4), ("mul", 6, 7)],
+]
+
+
+@pytest.mark.parametrize("per_call", [1, 1 << 15])
+@pytest.mark.parametrize("gates", _REUSED)
+def test_leaf_logs_never_stand_for_a_reused_slot(monkeypatch, gates, per_call):
+    # gate by gate, every multiply with a structural variable factor reads the
+    # leaf logs; with the default budget each group is one call on the slots
+    from bcslab.algebra import mldetect
+
+    monkeypatch.setattr(mldetect, "_BUDGET", per_call)
+    c = _tiny(gates, len(gates) - 1, 4, 1)
+    sch = c.schedule
+    kind, out, a, b, t, n_leaf = sch.steps[-1]
+    assert kind == MUL and len(out) == 1
+    # the output's multiply reads a product from a slot a leaf held before
+    if n_leaf:
+        assert b[0] < len(sch.leaves)
+    else:
+        assert min(a[0], b[0]) < len(sch.leaves)
+    for batch in (1, 31):
+        assert _same_as_reference(c, 4, 64, batch, seed=7).all()
+
+
+def test_schedule_folds_a_tag_into_a_product_read_once():
+    from bcslab.algebra.circuits import TAG_MUL
+
+    # t0 (x0 x1): one multiply entry that carries tag 0, x0 read from the leaf logs
+    x = [("in", ("x", 0)), ("in", ("x", 1)), ("in", ("t", 0))]
+    once = _tiny(x + [("mul", 0, 1), ("mul", 2, 3)], 4, 2, 1)
+    (kind, out, a, b, t, n_leaf), = once.schedule.steps
+    assert kind == MUL and n_leaf == 1 and t.tolist() == [0] and len(out) == 1
+    # x0 x1 also read by the sum: the product and the tag's multiply stay apart
+    twice = _tiny(x + [("mul", 0, 1), ("mul", 2, 3), ("add", 4, 3)], 5, 2, 1)
+    assert [s[0] for s in twice.schedule.steps] == [MUL, TAG_MUL, SUM]
+    assert twice.schedule.steps[0][4] is None
+    # a product that already carries a tag is not folded into another
+    nested = _tiny(x + [("in", ("t", 1)), ("mul", 0, 1), ("mul", 2, 4), ("mul", 3, 5)], 6, 2, 2)
+    assert [s[0] for s in nested.schedule.steps] == [MUL, TAG_MUL]
+    for c in (once, twice, nested):
+        assert _same_as_reference(c, 2, 64, 3, seed=2).all()
+
+
+class _Drift:
+    """Witness extraction with a forced one-sided miss: detect_multilinear says
+    yes on the whole graph, then no on every smaller one during the first
+    `bad` deletion passes, then decides for real. Each pass ends in one
+    validate_witness call, which this counts."""
+
+    def __init__(self, monkeypatch, bad):
+        from bcslab.algebra import mldetect
+
+        self.real, self.validate = mldetect.detect_multilinear, mldetect.validate_witness
+        self.bad, self.passes, self.seeds = bad, [], []
+        monkeypatch.setattr(mldetect, "detect_multilinear", self.detect)
+        monkeypatch.setattr(mldetect, "validate_witness", self.check)
+
+    def detect(self, c, k_dim, ell, trials, seed):
+        self.seeds.append((len(self.passes), seed))
+        if len(self.seeds) == 1:
+            return True
+        if len(self.passes) < self.bad:
+            return False
+        return self.real(c, k_dim, ell, trials, seed)
+
+    def check(self, G, w, k):
+        verdict = self.validate(G, w, k)
+        self.passes.append(verdict.valid)
+        return verdict
+
+
+def test_witness_extraction_retries_after_a_miss(monkeypatch):
+    drift = _Drift(monkeypatch, bad=1)
+    ans = randomized_solve(TRI, 2, WitnessKind.PATH, trials=32, seed=3, want_witness=True)
+    assert ans.yes and validate_witness(TRI, ans.witness, 2).valid
+    assert drift.passes == [False, True]
+    # the second pass decides on seeds of its own
+    first = {s for p, s in drift.seeds[1:] if p == 0}
+    second = {s for p, s in drift.seeds if p == 1}
+    assert first and second and not first & second
+
+
+def test_witness_extraction_raises_rather_than_answer_none(monkeypatch):
+    from bcslab.algebra import mldetect
+
+    drift = _Drift(monkeypatch, bad=10**6)
+    with pytest.raises(mldetect.WitnessExtractionError):
+        randomized_solve(TRI, 2, WitnessKind.PATH, trials=32, seed=3, want_witness=True)
+    assert drift.passes == [False] * mldetect._WITNESS_PASSES
+    assert len({s for _, s in drift.seeds}) == len(drift.seeds)
