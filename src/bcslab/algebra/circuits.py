@@ -33,8 +33,8 @@ and the tests' reference evaluators go through it. A second pass, from the
 output down, builds the sieve's level schedule (`Schedule`): only the gates
 the output reads, grouped by level into general multiplies, multiplies by a
 tag and sums, with value slots reused once a value's last reader has run. A
-tag times a product that no other gate reads (the analysis counts each
-gate's readers) is one multiply that carries the tag.
+tag times a product that no other gate reads is one multiply that carries
+the tag.
 """
 from __future__ import annotations
 
@@ -83,9 +83,7 @@ class Circuit:
         deg = [0] * n
         last = list(range(n))
         side = [0] * n
-        readers = [0] * n
         tags = set()
-        inputs = set()
         homogeneous = True
         # one loop, the common gates first: it runs on every circuit built
         for gid, g in enumerate(gates):
@@ -95,8 +93,6 @@ class Circuit:
                 if not (0 <= i < gid and 0 <= j < gid):
                     raise ValueError("gate references must precede the gate")
                 last[i] = last[j] = gid
-                readers[i] += 1
-                readers[j] += 1
                 deg[gid] = deg[i] + deg[j]
                 if i in tags:
                     side[gid] = 1
@@ -109,7 +105,6 @@ class Circuit:
                     if not 0 <= i < gid:
                         raise ValueError("gate references must precede the gate")
                     last[i] = gid
-                    readers[i] += 1
                 ds = [deg[i] for i in g[1:]]
                 deg[gid] = max(ds)
                 if min(ds) != deg[gid]:
@@ -120,7 +115,6 @@ class Circuit:
                     tags.add(gid)
                 else:
                     var_index.setdefault(key, len(var_index))
-                    inputs.add(gid)
                     deg[gid] = 1
         last[self.output] = n
         put = object.__setattr__
@@ -129,7 +123,7 @@ class Circuit:
         put(self, "tag_side", side)
         put(self, "homogeneous_degree", deg[self.output] if homogeneous else None)
         put(self, "_degrees", deg)
-        put(self, "schedule", _schedule(gates, self.output, side, readers, inputs, var_index))
+        put(self, "schedule", _schedule(gates, self.output, side, last, var_index))
 
     def degrees(self) -> list:
         """Structural degree of every gate; tags and constants have degree 0."""
@@ -172,10 +166,9 @@ class Schedule:
     output: int
 
 
-def _schedule(gates: tuple, out: int, side: list, readers: list, inputs: set,
-              var_index: dict) -> Schedule:
+def _schedule(gates: tuple, out: int, side: list, last_use: list, var_index: dict) -> Schedule:
     """Level the gates the output reads (Circuit.__post_init__ has checked them
-    and counted each gate's readers; inputs are the structural variables' gates).
+    and found each gate's last reader, last_use).
 
     One pass from the output down, so that a gate is reached after every gate
     that reads it. A gate's height is one more than its highest reader's, the
@@ -197,10 +190,11 @@ def _schedule(gates: tuple, out: int, side: list, readers: list, inputs: set,
     fills: List[int] = []
     last[out] = -1
     for gid in range(out, -1, -1):
-        if last[gid] > out:
+        h = last[gid]
+        if h > out:
             continue
-        if last[gid] >= 0:
-            levels[last[gid]][4].append(gid)
+        if h >= 0:
+            levels[h][4].append(gid)
         g = gates[gid]
         op = g[0]
         if op != "mul" and op != "add":
@@ -210,26 +204,31 @@ def _schedule(gates: tuple, out: int, side: list, readers: list, inputs: set,
         if e == len(levels):
             levels.append(([], [], [], [], []))
         s = side[gid]
+        p = g[3 - s] if s else -1  # the operand of a multiply by a tag
         if op == "add":
             operands = g[1:]
             levels[e][SUM].append((gid, operands))
-        elif s and (gates[g[3 - s]][0] != "mul" or side[g[3 - s]] or readers[g[3 - s]] > 1):
-            levels[e][TAG_MUL].extend((gid, g[3 - s], gates[g[s]][1][1]))
-            operands = (g[3 - s],)
+        elif s and not (last_use[p] == gid and gates[p][0] == "mul" and not side[p]
+                        and (gid - p == 1 or gid - p == 2 and gates[p + 1][0] == "in")):
+            levels[e][TAG_MUL].extend((gid, p, gates[g[s]][1][1]))
+            operands = (p,)
         else:
             t = -1
             if s:
-                # the tag's product is read here only: multiply its factors and
-                # the tag at the product's own level, so no other gate moves
+                # p, an untagged product, is read here only: this is its last
+                # reader, and at most an input (a tagged sum's tag) lies between
+                # them. Multiply its factors and the tag at p's own level, so
+                # no other gate moves
                 t = gates[g[s]][1][1]
-                g = gates[g[3 - s]]
+                g = gates[p]
                 e += 1
                 if e == len(levels):
                     levels.append(([], [], [], [], []))
+            # an untagged product's factors are not tags: an input is a variable
             x, y = g[1], g[2]
-            if y in inputs:
+            if gates[y][0] == "in":
                 x, y = y, x
-            levels[e][3 if x in inputs else MUL].extend((gid, x, y, t))
+            levels[e][3 if gates[x][0] == "in" else MUL].extend((gid, x, y, t))
             operands = (x, y)
         for x in operands:
             if height[x] <= e:

@@ -24,9 +24,9 @@ planes. A group of a level, its general multiplies, its multiplies by a
 GF(2^16) tag or its sums, is one stacked `VecGF.mul`, one `mul_scalar16` or
 one XOR-reduce over gathered operands. A tag times a product that nothing
 else reads is one `VecGF.mul` that carries the tag. Where multiplies run
-gate by gate, or the circuit spans several column ranges, the Karatsuba leaf
-logs of every variable are taken once per range, and a multiply with a
-variable as a factor reads them in its place. No call gathers more than a
+gate by gate, the Karatsuba leaf logs of every variable are taken once per
+column range, and a multiply with a variable as a factor reads them in its
+place. No call gathers more than a
 fixed byte budget per operand. A multiply group that exceeds it is split
 into several calls, and where one gate's vectors alone fill it (B = 31 at
 K = 9) the gates run one at a time on slot views. A sum group that exceeds
@@ -117,6 +117,9 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
     _CHUNK_BUDGET."""
     K = sub.k_dim
     B = sub.vectors.shape[0]
+    if not sub.tags.all():
+        # a multiply that carries a tag adds the tag's log, which zero lacks
+        raise ValueError("tags must be nonzero")
     if K == 0:
         # degree 0: no monomial of positive degree
         return np.zeros(B, dtype=np.uint64)
@@ -136,13 +139,11 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
     xv = buf.view(np.uint64 if w >= 2 else np.uint32 if w == 1 else np.uint16)
     chunk = _BUDGET // buf[0].nbytes
     mul, mul16, xor = vf.mul, vf.mul_scalar16, np.bitwise_xor
-    # Leaf logs pay where work per element dominates: gate by gate, and in
-    # the stacked calls of a circuit too large for one column range. A small
-    # circuit's calls are bound by their count, and gathering logs, 4.5 times
-    # the bytes of planes, would only raise its peak memory.
-    per_call = max(chunk, 1)
+    # Leaf logs pay where work per element dominates: gate by gate. Stacked
+    # calls are bound by their count, and gathering logs, 4.5 times the bytes
+    # of planes, would only raise their peak memory.
     logs, acc = None, 0
-    if (chunk <= 1 or w < K) and any(s[0] == MUL and s[5] >= per_call for s in sch.steps):
+    if chunk <= 1 and any(s[0] == MUL and s[5] for s in sch.steps):
         # leaf i's logs are logs[i], of shape (3^L, B, 2^w)
         logs = np.empty((len(sch.leaves), vf.n_leaves) + z.shape[2:], dtype=np.int32)
     for r in range(1 << (K - w)):
@@ -188,22 +189,18 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
                     buf[out[part]] = p.swapaxes(0, 1)
                 continue
             tg, n_leaf = rest
-            # whole calls of multiplies with a leaf factor read the leaf logs;
-            # the rest, less than one call's worth, take their leaves again
-            cut = 0 if logs is None else n_leaf - n_leaf % per_call
-            for src, lo, hi in ((logs, 0, cut), (buf, cut, len(out))):
-                if chunk <= 1:
-                    ts = repeat(None) if tg is None else tg[lo:hi].tolist()
-                    for o, x, y, t in zip(out[lo:hi].tolist(), a[lo:hi].tolist(),
-                                          b[lo:hi].tolist(), ts):
-                        x, y = src[x], buf[y]
-                        buf[o] = mul(x, y) if t is None else mul(x, y, tags[:, t])
-                    continue
-                for s in range(lo, hi, chunk):
-                    part = slice(s, s + chunk)
-                    x, y = src[a[part]].swapaxes(0, 1), buf[b[part]].swapaxes(0, 1)
-                    p = mul(x, y) if tg is None else mul(x, y, tags[:, tg[part]])
-                    buf[out[part]] = p.swapaxes(0, 1)
+            if chunk <= 1:
+                # the first n_leaf multiplies read their leaf factor's logs
+                ts = repeat(None) if tg is None else tg.tolist()
+                for g, (o, x, y, t) in enumerate(zip(out.tolist(), a.tolist(), b.tolist(), ts)):
+                    x, y = logs[x] if g < n_leaf else buf[x], buf[y]
+                    buf[o] = mul(x, y) if t is None else mul(x, y, tags[:, t])
+                continue
+            for s in range(0, len(out), chunk):
+                part = slice(s, s + chunk)
+                x, y = buf[a[part]].swapaxes(0, 1), buf[b[part]].swapaxes(0, 1)
+                p = mul(x, y) if tg is None else mul(x, y, tags[:, tg[part]])
+                buf[out[part]] = p.swapaxes(0, 1)
         acc ^= xor.reduce(buf[sch.output], axis=-1)
     return vf.from_planes(acc)
 

@@ -354,8 +354,8 @@ def test_level_schedule_in_column_chunks_matches_reference(case, ell, batch, see
                                                            per_call):
     # a one-byte budget runs every circuit on columns one at a time; the others
     # split the wider ones into ranges of several columns. Small per-call
-    # budgets run multiplies gate by gate, or split their groups, and so read
-    # the leaf logs
+    # budgets run multiplies gate by gate, reading the leaf logs, or split
+    # their groups
     from bcslab.algebra import mldetect
 
     c, k_dim = case
@@ -449,8 +449,28 @@ def test_schedule_folds_a_tag_into_a_product_read_once():
     # a product that already carries a tag is not folded into another
     nested = _tiny(x + [("in", ("t", 1)), ("mul", 0, 1), ("mul", 2, 4), ("mul", 3, 5)], 6, 2, 2)
     assert [s[0] for s in nested.schedule.steps] == [MUL, TAG_MUL]
-    for c in (once, twice, nested):
+    # two tags times x0 x1: the later multiply is its last reader, but the
+    # earlier one lies between them
+    shared = _tiny(x + [("in", ("t", 1)), ("mul", 0, 1), ("mul", 2, 4), ("mul", 3, 4),
+                        ("add", 5, 6)], 7, 2, 2)
+    assert [(s[0], len(s[1])) for s in shared.schedule.steps] == [(MUL, 1), (TAG_MUL, 2), (SUM, 1)]
+    assert shared.schedule.steps[0][4] is None
+    for c in (once, twice, nested, shared):
         assert _same_as_reference(c, 2, 64, 3, seed=2).all()
+
+
+def test_zero_tag_is_rejected():
+    # a multiply that carries a tag adds the tag's log, and zero has none
+    from bcslab.algebra.mldetect import Substitution
+
+    x = [("in", ("x", 0)), ("in", ("x", 1)), ("in", ("t", 0))]
+    c = _tiny(x + [("mul", 0, 1), ("mul", 2, 3)], 4, 2, 1)
+    sub = draw_substitution(2, 1, 2, 64, seed=2, batch=3)
+    assert _eval_fast(c, sub).all()
+    tags = sub.tags.copy()
+    tags[1, 0] = 0
+    with pytest.raises(ValueError, match="nonzero"):
+        _eval_fast(c, Substitution(sub.k_dim, sub.ell, sub.vectors, tags))
 
 
 class _Drift:
