@@ -204,11 +204,10 @@ def _schedule(gates: tuple, out: int, side: list, last_use: list, var_index: dic
         if e == len(levels):
             levels.append(([], [], [], [], []))
         s = side[gid]
-        p = g[3 - s] if s else -1  # the operand of a multiply by a tag
         if op == "add":
             operands = g[1:]
             levels[e][SUM].append((gid, operands))
-        elif s and not (last_use[p] == gid and gates[p][0] == "mul" and not side[p]
+        elif s and not (last_use[p := g[3 - s]] == gid and gates[p][0] == "mul" and not side[p]
                         and (gid - p == 1 or gid - p == 2 and gates[p + 1][0] == "in")):
             levels[e][TAG_MUL].extend((gid, p, gates[g[s]][1][1]))
             operands = (p,)
