@@ -161,20 +161,18 @@ class VecGF:
         # default mode it writes to out without a buffer
         _LOG.take(self._leaves(a), out=out, mode="clip")
 
-    def _logs(self, a):
-        """Leaf logs of limb planes a, or a itself when it is leaf logs."""
-        return a if a.dtype is _LOG.dtype else _LOG.take(self._leaves(a))
-
     def mul(self, a, b, s=None):
         """Product of a and b, times s when s is given.
 
-        a and b are limb planes, or an operand's leaf logs as `leaf_logs`
+        b is limb planes; a is limb planes, or their leaf logs as `leaf_logs`
         writes them (int32), which spares taking its leaves again. s is a
         nonzero element of the GF(2^16) subfield as limb planes, of which only
         s[0] is read, as in `mul_scalar16`: its log joins each product's
         constant log(C^e), mod 65535, so that s a b costs what a b costs.
         """
-        t = self._logs(a) + self._logs(b)
+        # one expression, so that both operands' logs die at the sum
+        t = ((a if a.dtype is _LOG.dtype else _LOG.take(self._leaves(a)))
+             + _LOG.take(self._leaves(b)))
         t = t.take(self._leaf, axis=0)
         c = self._clog.reshape((-1,) + (1,) * (t.ndim - 1))
         if s is not None:

@@ -23,17 +23,16 @@ The sieve runs the level schedule built with the circuit
 planes. A group of a level, its general multiplies, its multiplies by a
 GF(2^16) tag or its sums, is one stacked `VecGF.mul`, one `mul_scalar16` or
 one XOR-reduce over gathered operands. A tag times a product that nothing
-else reads is one `VecGF.mul` that carries the tag. Where multiplies run
-gate by gate, the Karatsuba leaf logs of every variable are taken once per
-column range, and a multiply with a variable as a factor reads them in its
-place. No call gathers more than a
-fixed byte budget per operand. A multiply group that exceeds it is split
-into several calls, and where one gate's vectors alone fill it (B = 31 at
-K = 9) the gates run one at a time on slot views. A sum group that exceeds
-it is XORed in place, term by term. Small circuits are then a few calls per
-level instead of one per gate, and wide vectors cost what one call per gate
-costs. Nothing is analysed per call, so a `run_trials` call makes no pass
-over the gates.
+else reads is one `VecGF.mul` that carries the tag. No call gathers more
+than a fixed byte budget per operand. A multiply group that exceeds it is
+split into several calls, and where one gate's vectors alone fill it (B = 31
+at K = 9) the gates run one at a time on slot views; there the Karatsuba
+leaf logs of every variable are taken once per column range, and a multiply
+with a variable as a factor reads them in its place. A sum group that
+exceeds it is XORed in place, term by term. Small circuits are then a few
+calls per level instead of one per gate, and wide vectors cost what one
+call per gate costs. Nothing is analysed per call, so a `run_trials` call
+makes no pass over the gates.
 
 Every zeta entry is the circuit evaluated at one subset S, so the 2^K
 columns are independent (the polynomial-space argument of inclusion and
