@@ -1,6 +1,6 @@
 """Arithmetic-circuit builders for the three balanced-structure polynomials.
 
-Each builder materializes the P_j recurrences as a DAG of input/add/multiply
+Each builder materializes the P_j recurrences as a DAG of input/sum/multiply
 gates, memoized per cell (j, anchor, r, b), with constant-zero branches pruned
 at build time:
 
@@ -12,33 +12,36 @@ at build time:
 * path: variables y_v, anchored at the current endpoint; one neighbor
   extension per step; degree exactly k+1.
 
-The three share one skeleton, `_Builder.circuit`: the memo, the sum of the
-top cells over all anchors, and the tagged sums of child cells. A builder
-only says how one cell combines its children. Every sum of two or more terms
-is one add gate.
+The three share one skeleton, `_Builder.circuit`: the memo, the output sum
+of every anchor's top-cell terms, and the tagged sums of child cells. A
+builder only says which terms make up one cell. Every cell of two or more
+terms is one add gate.
 
-Every sum term carries a fresh scalar tag variable ('t', i): a degree-0 input
-multiplied into that term. Distinct derivations of the same square-free
-monomial then pick distinct tag sets (no cell repeats inside one derivation of
-a square-free monomial, because a cell's monomials all contain its anchor
-variables), so coefficients survive characteristic 2 under random tag values.
-With every tag set to one the polynomial is exactly the untagged recurrence
-over the non-negative integers, which is what the symbolic expansion checks.
+Every sum term carries a fresh scalar tag s, a fingerprint of degree 0 that
+is not a gate but an index on the term: ('add', (child, s), ...) sums tag s
+times each child. A tagged sum of one term rides on the product that reads
+it, ('mul', x_e, child, s), and a path cell carries its tag on its product,
+('mul', y_v, agg, s). Distinct derivations of the same square-free monomial
+then pick distinct tag sets (no cell repeats inside one derivation of a
+square-free monomial, because a cell's monomials all contain its anchor
+variables), so coefficients survive characteristic 2 under random tag
+values. With every tag set to one the polynomial is exactly the untagged
+recurrence over the non-negative integers, which is what the symbolic
+expansion checks.
 
 A Circuit is analysed once, when it is constructed. The pass that checks the
-gate references numbers the structural variables, takes every gate's degree
-and last use and marks the multiplies by a tag. `walk` evaluates a circuit in
-one loop over its gates for any choice of value rules; `expand_multilinear`
-and the tests' reference evaluators go through it. A second pass, from the
-output down, builds the sieve's level schedule (`Schedule`): only the gates
-the output reads, grouped by level into general multiplies, multiplies by a
-tag and sums, with value slots reused once a value's last reader has run. A
-tag times a product that no other gate reads is one multiply that carries
-the tag.
+gate references and tag indices numbers the structural variables and takes
+every gate's degree and last use. `walk` evaluates a circuit in one loop over
+its gates for any choice of value rules; `expand_multilinear` and the tests'
+reference evaluators go through it. A second pass, from the output down,
+builds the sieve's level schedule (`Schedule`): only the gates the output
+reads, grouped by level into multiplies and sums, each with its tags, with
+value slots reused once a value's last reader has run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 import numpy as np
@@ -50,17 +53,18 @@ from ..graphs import EdgeColor, RedBlueGraph, count_splits, require_even_k
 class Circuit:
     """Topologically ordered gate list; gate 0 onward, `output` is a gate id.
 
-    Gates: ('in', var), ('c0',), ('c1',), ('add', i1, ..., in) with n >= 2,
-    ('mul', i, j), with var one of ('x', edge_index), ('y', vertex),
-    ('t', tag_index). Tag inputs are scalar fingerprints of degree 0;
-    degree_bound dominates the structural degree of every monomial.
+    Gates: ('in', var) with var ('x', edge_index) or ('y', vertex);
+    ('c0',) and ('c1',); ('add', term, ...), the sum of one or more terms,
+    each a gate id i or a pair (i, s), tag s times gate i; ('mul', i, j), and
+    ('mul', i, j, s), the product of gates i and j times tag s. Tags are
+    scalar fingerprints of degree 0, numbered 0 .. n_tags - 1; degree_bound
+    dominates the structural degree of every monomial.
 
     Construction also stores var_index, each structural variable's number in
     order of first appearance; last_use[g], the last gate that reads g (g if
-    none does, len(gates) for the output); tag_side[g], 1 or 2 when that
-    operand of multiply g is a tag input, else 0; homogeneous_degree, the
-    output degree if every add sums equal degrees; and schedule, the sieve's
-    level schedule.
+    none does, len(gates) for the output); homogeneous_degree, the output
+    degree if every add sums equal degrees; and schedule, the sieve's level
+    schedule.
     """
 
     gates: tuple
@@ -69,7 +73,6 @@ class Circuit:
     n_tags: int
     var_index: dict = field(init=False, repr=False, compare=False)
     last_use: list = field(init=False, repr=False, compare=False)
-    tag_side: list = field(init=False, repr=False, compare=False)
     homogeneous_degree: Optional[int] = field(init=False, repr=False, compare=False)
     schedule: "Schedule" = field(init=False, repr=False, compare=False)
     _degrees: list = field(init=False, repr=False, compare=False)
@@ -79,58 +82,61 @@ class Circuit:
         n = len(gates)
         if not (0 <= self.output < n):
             raise ValueError("output gate out of range")
+        n_tags = self.n_tags
         var_index: dict = {}
         deg = [0] * n
         last = list(range(n))
-        side = [0] * n
-        tags = set()
         homogeneous = True
         # one loop, the common gates first: it runs on every circuit built
         for gid, g in enumerate(gates):
             op = g[0]
-            if op == "mul":
-                _, i, j = g
+            if op == "add":
+                if len(g) < 2:
+                    raise ValueError("a sum needs a term")
+                ds = []
+                for i in g[1:]:
+                    if type(i) is tuple:
+                        i, s = i
+                        if not 0 <= s < n_tags:
+                            raise ValueError("tag index out of range")
+                    if not 0 <= i < gid:
+                        raise ValueError("gate references must precede the gate")
+                    last[i] = gid
+                    ds.append(deg[i])
+                deg[gid] = max(ds)
+                if min(ds) != deg[gid]:
+                    homogeneous = False
+            elif op == "mul":
+                if len(g) == 4:
+                    _, i, j, s = g
+                    if not 0 <= s < n_tags:
+                        raise ValueError("tag index out of range")
+                else:
+                    _, i, j = g
                 if not (0 <= i < gid and 0 <= j < gid):
                     raise ValueError("gate references must precede the gate")
                 last[i] = last[j] = gid
                 deg[gid] = deg[i] + deg[j]
-                if i in tags:
-                    side[gid] = 1
-                elif j in tags:
-                    side[gid] = 2
-            elif op == "add":
-                if len(g) < 3:
-                    raise ValueError("an add needs at least two operands")
-                for i in g[1:]:
-                    if not 0 <= i < gid:
-                        raise ValueError("gate references must precede the gate")
-                    last[i] = gid
-                ds = [deg[i] for i in g[1:]]
-                deg[gid] = max(ds)
-                if min(ds) != deg[gid]:
-                    homogeneous = False
             elif op == "in":
                 key = g[1]
                 if key[0] == "t":
-                    tags.add(gid)
-                else:
-                    var_index.setdefault(key, len(var_index))
-                    deg[gid] = 1
+                    raise ValueError("a tag is an index on a sum term or a product, not a gate")
+                var_index.setdefault(key, len(var_index))
+                deg[gid] = 1
         last[self.output] = n
         put = object.__setattr__
         put(self, "var_index", var_index)
         put(self, "last_use", last)
-        put(self, "tag_side", side)
         put(self, "homogeneous_degree", deg[self.output] if homogeneous else None)
         put(self, "_degrees", deg)
-        put(self, "schedule", _schedule(gates, self.output, side, last, var_index))
+        put(self, "schedule", _schedule(gates, self.output, var_index))
 
     def degrees(self) -> list:
-        """Structural degree of every gate; tags and constants have degree 0."""
+        """Structural degree of every gate; constants have degree 0."""
         return self._degrees
 
 
-MUL, TAG_MUL, SUM = 0, 1, 2
+MUL, SUM = 0, 1
 
 
 @dataclass(frozen=True)
@@ -139,19 +145,18 @@ class Schedule:
     n_slots value slots.
 
     Slot i < len(leaves) starts out holding leaf i, the structural variable
-    numbered leaves[i] (c.var_index numbers); each fill (slot, kind, index)
-    holds a tag ('t', s) or a constant ('c', bit) that a gate reads as a value.
-    A step sets slot out[g] for every g:
+    numbered leaves[i] (c.var_index numbers); each of consts (slot, bit)
+    holds the constant c0 or c1. A step sets slot out[g] for every g:
 
     * (MUL, out, a, b, t, n_leaf): the product of slots a[g] and b[g], times
       tag t[g] where t[g] >= 0; t is None when no product of the step carries
-      a tag. A tag times a product that nothing else reads is one such entry.
-      The first n_leaf entries have a structural variable as their factor
-      a[g]; its slot is then its leaf number, which an evaluator may use to
-      read values it keeps per leaf. Other slots below len(leaves) are not
-      leaves once they have been reused;
-    * (TAG_MUL, out, a, b): the product of slot a[g] and tag b[g];
-    * (SUM, out, a, b): the XOR of slots a[b[g]:b[g + 1]], at least two of them.
+      a tag. The first n_leaf entries have a structural variable as their
+      factor a[g]; its slot is then its leaf number, which an evaluator may
+      use to read values it keeps per leaf. Other slots below len(leaves) are
+      not leaves once they have been reused;
+    * (SUM, out, a, b, t): the XOR of slots a[b[g]:b[g + 1]], at least one of
+      them, each term a[i] times tag t[i] where t[i] >= 0; t is None when no
+      term of the step carries a tag.
 
     Steps come level by level and a step reads only values of lower levels. A
     slot is given to a new value only after the level of its old value's last
@@ -161,73 +166,55 @@ class Schedule:
 
     n_slots: int
     leaves: np.ndarray
-    fills: tuple
+    consts: tuple
     steps: tuple
     output: int
 
 
-def _schedule(gates: tuple, out: int, side: list, last_use: list, var_index: dict) -> Schedule:
-    """Level the gates the output reads (Circuit.__post_init__ has checked them
-    and found each gate's last reader, last_use).
+def _schedule(gates: tuple, out: int, var_index: dict) -> Schedule:
+    """Level the gates the output reads (Circuit.__post_init__ has checked
+    them).
 
     One pass from the output down, so that a gate is reached after every gate
     that reads it. A gate's height is one more than its highest reader's, the
     output's is 0, and the levels run from the greatest height down: each
-    value is made just before its first reader needs it. A tag read as a
-    multiplier's scalar side is not a value and gets no slot. A tag times an
-    untagged product that nothing else reads is one multiply carrying the tag,
-    made at the product's level; the product itself is never reached.
+    value is made just before its first reader needs it.
     """
     height = [0] * (out + 1)
     # the height of the gate's last reader; out + 1 until a reader is reached
     last = [out + 1] * (out + 1)
-    # per height: MUL entries flat (gate, factor, factor, tag or -1), those
-    # with a structural variable (taken as the first factor) apart; TAG_MUL
-    # entries flat (gate, operand, tag); SUM entries (gate, term gates); and
-    # the values whose last reader is there
+    # per height: MUL entries flat (gate, factor, factor, tag or -1), SUM
+    # entries (gate, terms as (gate, tag or -1)), the MUL entries with a
+    # structural variable (taken as the first factor) apart, and the values
+    # whose last reader is there
     levels: List[tuple] = []
     leaves: List[int] = []
-    fills: List[int] = []
+    consts: List[int] = []
     last[out] = -1
     for gid in range(out, -1, -1):
         h = last[gid]
         if h > out:
             continue
         if h >= 0:
-            levels[h][4].append(gid)
+            levels[h][3].append(gid)
         g = gates[gid]
         op = g[0]
         if op != "mul" and op != "add":
-            (leaves if op == "in" and g[1][0] != "t" else fills).append(gid)
+            (leaves if op == "in" else consts).append(gid)
             continue
         e = height[gid]
         if e == len(levels):
-            levels.append(([], [], [], [], []))
-        s = side[gid]
+            levels.append(([], [], [], []))
         if op == "add":
-            operands = g[1:]
-            levels[e][SUM].append((gid, operands))
-        elif s and not (last_use[p := g[3 - s]] == gid and gates[p][0] == "mul" and not side[p]
-                        and (gid - p == 1 or gid - p == 2 and gates[p + 1][0] == "in")):
-            levels[e][TAG_MUL].extend((gid, p, gates[g[s]][1][1]))
-            operands = (p,)
+            terms = [i if type(i) is tuple else (i, -1) for i in g[1:]]
+            levels[e][SUM].append((gid, terms))
+            operands = [i for i, _ in terms]
         else:
-            t = -1
-            if s:
-                # p, an untagged product, is read here only: this is its last
-                # reader, and at most an input (a tagged sum's tag) lies between
-                # them. Multiply its factors and the tag at p's own level, so
-                # no other gate moves
-                t = gates[g[s]][1][1]
-                g = gates[p]
-                e += 1
-                if e == len(levels):
-                    levels.append(([], [], [], [], []))
-            # an untagged product's factors are not tags: an input is a variable
             x, y = g[1], g[2]
             if gates[y][0] == "in":
                 x, y = y, x
-            levels[e][3 if gates[x][0] == "in" else MUL].extend((gid, x, y, t))
+            levels[e][2 if gates[x][0] == "in" else MUL].extend(
+                (gid, x, y, g[3] if len(g) == 4 else -1))
             operands = (x, y)
         for x in operands:
             if height[x] <= e:
@@ -237,89 +224,86 @@ def _schedule(gates: tuple, out: int, side: list, last_use: list, var_index: dic
     # slots, level by level: a slot freed after one level is reused from the next
     slot = [-1] * (out + 1)
     n_slots = 0
-    for gid in leaves + fills:
+    for gid in leaves + consts:
         slot[gid] = n_slots
         n_slots += 1
     free: List[int] = []
-    flat: tuple = ([], [], [])  # MUL and TAG_MUL entries and SUM term gates, level by level
-    sum_out, sum_len = [], [0]
+    mul_flat: List[int] = []  # MUL entries, level by level
+    sum_out, sum_len, sum_terms, sum_tags = [], [0], [], []
     spans = []  # (kind, first entry, end, MUL entries with a leaf factor, tagged)
-    for muls, tag_muls, sums, leaf_muls, dying in reversed(levels):
-        for kind, entries, n_leaf in ((MUL, leaf_muls + muls, len(leaf_muls) // 4),
-                                      (TAG_MUL, tag_muls, 0), (SUM, sums, 0)):
-            if not entries:
-                continue
-            width = 4 if kind == MUL else 3  # flat MUL and TAG_MUL entries
-            outs = [v for v, _ in entries] if kind == SUM else entries[::width]
-            for v in outs:
-                if free:
-                    slot[v] = free.pop()
-                else:
-                    slot[v] = n_slots
-                    n_slots += 1
-            if kind == SUM:
-                spans.append((SUM, len(sum_out), len(sum_out) + len(outs), 0, False))
-                sum_out += outs
-                for _, terms in entries:
-                    sum_len.append(len(terms))
-                    flat[SUM].extend(terms)
+    for muls, sums, leaf_muls, dying in reversed(levels):
+        muls = leaf_muls + muls
+        sum_gates = [v for v, _ in sums]
+        for v in muls[::4] + sum_gates:
+            if free:
+                slot[v] = free.pop()
             else:
-                lo = len(flat[kind]) // width
-                spans.append((kind, lo, lo + len(outs), n_leaf,
-                              kind == MUL and max(entries[3::4]) >= 0))
-                flat[kind].extend(entries)
+                slot[v] = n_slots
+                n_slots += 1
+        if muls:
+            lo = len(mul_flat) // 4
+            spans.append((MUL, lo, lo + len(muls) // 4, len(leaf_muls) // 4,
+                          max(muls[3::4]) >= 0))
+            mul_flat += muls
+        if sums:
+            lo = len(sum_tags)
+            for _, terms in sums:
+                sum_len.append(len(terms))
+                for x, s in terms:
+                    sum_terms.append(x)
+                    sum_tags.append(s)
+            spans.append((SUM, len(sum_out), len(sum_out) + len(sums), 0,
+                          max(sum_tags[lo:]) >= 0))
+            sum_out += sum_gates
         free += [slot[v] for v in dying]
     at = np.array(slot, dtype=np.intp)
-    muls = np.array(flat[MUL], dtype=np.intp).reshape(-1, 4).T
+    muls = np.array(mul_flat, dtype=np.intp).reshape(-1, 4).T
     muls[:3] = at[muls[:3]]  # a leaf's slot is its number
-    tag_muls = np.array(flat[TAG_MUL], dtype=np.intp).reshape(-1, 3).T
-    tag_muls[:2] = at[tag_muls[:2]]
     sum_slots = at[np.array(sum_out, dtype=np.intp)]
-    terms = at[np.array(flat[SUM], dtype=np.intp)]
+    terms = at[np.array(sum_terms, dtype=np.intp)]
+    tags = np.array(sum_tags, dtype=np.intp)
     starts = np.cumsum(sum_len, dtype=np.intp)
     steps = []
     for kind, lo, hi, n_leaf, tagged in spans:
         if kind == SUM:
-            steps.append((SUM, sum_slots[lo:hi], terms, starts[lo : hi + 1]))
-        elif kind == TAG_MUL:
-            steps.append((TAG_MUL, tag_muls[0, lo:hi], tag_muls[1, lo:hi], tag_muls[2, lo:hi]))
+            steps.append((SUM, sum_slots[lo:hi], terms, starts[lo : hi + 1],
+                          tags if tagged else None))
         else:
             steps.append((MUL, muls[0, lo:hi], muls[1, lo:hi], muls[2, lo:hi],
                           muls[3, lo:hi] if tagged else None, n_leaf))
     return Schedule(n_slots, np.array([var_index[gates[v][1]] for v in leaves], dtype=np.intp),
-                    tuple((slot[v], "t", gates[v][1][1]) if gates[v][0] == "in"
-                          else (slot[v], "c", gates[v][0] == "c1") for v in fills),
+                    tuple((slot[v], gates[v][0] == "c1") for v in consts),
                     tuple(steps), slot[out])
 
 
-def walk(c: Circuit, var: Callable, tag: Callable, const: Callable, add: Callable,
-         mul: Callable):
+def walk(c: Circuit, var: Callable, const: Callable, add: Callable, mul: Callable,
+         tag: Callable):
     """The output value of c under one set of value rules, in one pass.
 
-    var(i) gives variable number i (c.var_index), tag(s) tag s, const(bit) c0
-    or c1; mul(a, b, scalar) multiplies two values, with scalar True when b is
-    a tag's value, and add(a, b) is folded left over an add's operands. A
-    value is dropped after its last use.
+    var(i) gives variable number i (c.var_index), const(bit) c0 or c1;
+    mul(a, b) multiplies two values, tag(v, s) multiplies value v by tag s,
+    and add(a, b) is folded left over a sum's terms. A value is dropped after
+    its last use.
     """
-    gates, last, side, var_index = c.gates, c.last_use, c.tag_side, c.var_index
+    gates, last, var_index = c.gates, c.last_use, c.var_index
     vals: list = [None] * len(gates)
     for gid, g in enumerate(gates):
         op = g[0]
         if op == "add" or op == "mul":
             if op == "add":
-                v = vals[g[1]]
-                for x in g[2:]:
-                    v = add(v, vals[x])
-            elif side[gid] == 1:
-                v = mul(vals[g[2]], vals[g[1]], True)
+                reads = [i[0] if type(i) is tuple else i for i in g[1:]]
+                v = reduce(add, [tag(vals[i[0]], i[1]) if type(i) is tuple else vals[i]
+                                 for i in g[1:]])
             else:
-                v = mul(vals[g[1]], vals[g[2]], side[gid] == 2)
-            for x in g[1:]:
+                reads = g[1:3]
+                v = mul(vals[g[1]], vals[g[2]])
+                if len(g) == 4:
+                    v = tag(v, g[3])
+            for x in reads:
                 if last[x] == gid:
                     vals[x] = None
         elif op == "in":
-            key = g[1]
-            v = tag(key[1]) if key[0] == "t" else var(var_index[key])
+            v = var(var_index[g[1]])
         else:
             v = const(op == "c1")
         vals[gid] = v
@@ -327,12 +311,18 @@ def walk(c: Circuit, var: Callable, tag: Callable, const: Callable, add: Callabl
 
 
 def dump_circuit(c: Circuit) -> str:
+    """One line per gate, `g<id> = <gate>`, then `out g<id>`. A gate reads
+    `IN x3`, `C0`, `C1`, `ADD g4 t7*g5` (a sum of gate 4 and tag 7 times
+    gate 5), `MUL g2 g6`, or `MUL g2 g6 t8` (their product times tag 8)."""
     lines = []
     for gid, g in enumerate(c.gates):
         if g[0] == "in":
             body = "IN %s%s" % g[1]
-        elif g[0] in ("add", "mul"):
-            body = g[0].upper() + "".join(f" g{x}" for x in g[1:])
+        elif g[0] == "add":
+            body = "ADD" + "".join(" t%d*g%d" % (i[1], i[0]) if type(i) is tuple else f" g{i}"
+                                   for i in g[1:])
+        elif g[0] == "mul":
+            body = "MUL g%d g%d" % g[1:3] + ("" if len(g) == 3 else f" t{g[3]}")
         else:
             body = g[0].upper()
         lines.append(f"g{gid} = {body}")
@@ -355,14 +345,15 @@ class _Builder:
             self.var_gate[key] = self.gate(("in", key))
         return self.var_gate[key]
 
-    def tag(self) -> int:
-        t = self.n_tags
-        self.n_tags += 1
-        return self.gate(("in", ("t", t)))
-
-    def mul(self, a: int, b: int) -> int:
-        self.gates.append(("mul", a, b))
-        return len(self.gates) - 1
+    def mul(self, a, b) -> int:
+        """The product of a and b, each a gate or a tagged term (gate, tag) as
+        `tagged_sum` returns it. One tagged term rides on the product; when
+        both are, the first becomes a sum of one term."""
+        if type(a) is tuple:
+            a, b = b, a
+        if type(a) is tuple:
+            a = self.gate(("add", a))
+        return self.gate(("mul", a, *b) if type(b) is tuple else ("mul", a, b))
 
     def addtree(self, ids: List[int]) -> Optional[int]:
         """The sum of ids as one gate: None for no terms, the term itself for one."""
@@ -370,26 +361,28 @@ class _Builder:
             return ids[0] if ids else None
         return self.gate(("add", *ids))
 
-    def tagged_sum(self, cell: Callable, j: int, anchors, r: int, b: int) -> Optional[int]:
+    def tagged_sum(self, cell: Callable, j: int, anchors, r: int, b: int):
         """Sum over anchors a of a fresh tag times cell(j, a, r, b), skipping
-        zero cells; each child's gates come just before its tag and product."""
-        gates = self.gates
+        zero cells: one sum gate, the tagged term (child, tag) itself for one
+        term, or None for none. Each child's tag is numbered right after the
+        child is built."""
         terms = []
         for a in anchors:
             ch = cell(j, a, r, b)
             if ch is not None:
-                gates.append(("in", ("t", self.n_tags)))
+                terms.append((ch, self.n_tags))
                 self.n_tags += 1
-                gates.append(("mul", len(gates) - 1, ch))
-                terms.append(len(gates) - 1)
-        return self.addtree(terms)
+        if len(terms) < 2:
+            return terms[0] if terms else None
+        return self.gate(("add", *terms))
 
     def circuit(self, rule: Callable, anchors, k: int, degree_bound: int) -> Circuit:
         """The sum over anchors of the cell (k, anchor, k/2, k/2).
 
-        rule(cell, j, anchor, r, b) returns the gate of a cell, or None when
-        the cell is zero; cell(j, anchor, r, b) looks up a child, memoized,
-        and is None for negative counts.
+        rule(cell, j, anchor, r, b) returns the terms of a cell, the gates it
+        sums, none when the cell is zero; cell(j, anchor, r, b) looks up a
+        child, memoized, and is None for a zero cell or negative counts. Only
+        the output reads a top cell, so the output sums the top cells' terms.
         """
         half = k // 2
         memo: Dict[tuple, Optional[int]] = {}
@@ -400,11 +393,10 @@ class _Builder:
             key = (j, a, r, b)
             if key in memo:
                 return memo[key]
-            memo[key] = out = rule(cell, j, a, r, b)
+            memo[key] = out = self.addtree(rule(cell, j, a, r, b))
             return out
 
-        top = self.addtree([c for c in (cell(k, a, half, half) for a in anchors)
-                            if c is not None])
+        top = self.addtree([t for a in anchors for t in rule(cell, k, a, half, half)])
         del cell  # break the closure's self-reference so the memo frees on return
         if top is None:
             top = self.gate(("c0",))
@@ -421,9 +413,9 @@ def build_circuit_ebcs(G: RedBlueGraph, k: int) -> Circuit:
     def rule(cell, j, e, r, b):
         rc, bc = (r - 1, b) if red[e] else (r, b - 1)
         if j == 1:
-            return bld.var(("x", e)) if rc == bc == 0 else None
+            return [bld.var(("x", e))] if rc == bc == 0 else []
         if rc < 0 or bc < 0:
-            return None
+            return []
         terms = []
         agg = bld.tagged_sum(cell, j - 1, nbrs[e], rc, bc)
         if agg is not None:
@@ -435,7 +427,7 @@ def build_circuit_ebcs(G: RedBlueGraph, k: int) -> Circuit:
             lagg = bld.tagged_sum(cell, r1 + b1, nbrs[e], r1, b1)
             if lagg is not None:
                 terms.append(bld.mul(lagg, rest))
-        return bld.addtree(terms)
+        return terms
 
     return bld.circuit(rule, range(G.m), k, k)
 
@@ -456,9 +448,9 @@ def build_circuit_ebt(G: RedBlueGraph, k: int) -> Circuit:
         u, v, _ = G.edges[e]
         rc, bc = (r - 1, b) if red[e] else (r, b - 1)
         if j == 1:
-            return bld.mul(bld.var(("y", u)), bld.var(("y", v))) if rc == bc == 0 else None
+            return [bld.mul(bld.var(("y", u)), bld.var(("y", v)))] if rc == bc == 0 else []
         if rc < 0 or bc < 0:
-            return None
+            return []
         eu, ev = at[e]
         terms = []
         # a pendant endpoint, with the remainder hanging at the other one
@@ -474,7 +466,7 @@ def build_circuit_ebt(G: RedBlueGraph, k: int) -> Circuit:
             ragg = bld.tagged_sum(cell, r2 + b2, ev, r2, b2)
             if ragg is not None:
                 terms.append(bld.mul(lagg, ragg))
-        return bld.addtree(terms)
+        return terms
 
     return bld.circuit(rule, range(G.m), k, k + 1)
 
@@ -487,13 +479,14 @@ def build_circuit_ebp(G: RedBlueGraph, k: int) -> Circuit:
 
     def rule(cell, j, v, r, b):
         if j == 0:
-            return bld.var(("y", v))
+            return [bld.var(("y", v))]
         agg = bld.addtree([ch for ch in (cell(j - 1, u, r - 1, b) if red[e]
                                          else cell(j - 1, u, r, b - 1)
                                          for u, e in G.adjacency[v]) if ch is not None])
         if agg is None:
-            return None
-        return bld.mul(bld.tag(), bld.mul(bld.var(("y", v)), agg))
+            return []
+        bld.n_tags += 1
+        return [bld.gate(("mul", bld.var(("y", v)), agg, bld.n_tags - 1))]
 
     return bld.circuit(rule, range(1, G.n + 1), k, k + 1)
 
@@ -516,7 +509,7 @@ def expand_multilinear(c: Circuit, max_degree: int) -> Dict[FrozenSet, int]:
             out[mono] = out.get(mono, 0) + coef
         return {m: c2 for m, c2 in out.items() if c2}
 
-    def mul(a, b, _scalar):
+    def mul(a, b):
         out: Dict[FrozenSet, int] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -528,6 +521,6 @@ def expand_multilinear(c: Circuit, max_degree: int) -> Dict[FrozenSet, int]:
                 out[m] = out.get(m, 0) + c1 * c2
         return out
 
-    value = walk(c, lambda i: {frozenset((names[i],)): 1}, lambda s: {one: 1},
-                 lambda bit: {one: 1} if bit else {}, add, mul)
+    value = walk(c, lambda i: {frozenset((names[i],)): 1},
+                 lambda bit: {one: 1} if bit else {}, add, mul, lambda v, s: v)
     return {m: c2 for m, c2 in value.items() if c2}

@@ -2,12 +2,12 @@
 
 Substitution: every structural variable x_i (or y_v) receives a rank-one
 nilpotent element A_i = sum_j c_ij u_j with c_ij uniform in GF(2^l); every
-tag variable receives a nonzero scalar from the GF(2^16) subfield. Squares
-vanish (A_i^2 = 0 in characteristic 2), so only multilinear monomials can
-survive; a surviving set of d <= k_dim variables contributes a determinant
-of a random d x k_dim matrix over GF(2^l), nonzero except with probability
-~ d/2^l. One trial is one joint draw; the answer is one-sided: a zero
-polynomial evaluates to zero on every draw.
+tag receives a nonzero scalar from the GF(2^16) subfield. Squares vanish
+(A_i^2 = 0 in characteristic 2), so only multilinear monomials can survive;
+a surviving set of d <= k_dim variables contributes a determinant of a random
+d x k_dim matrix over GF(2^l), nonzero except with probability ~ d/2^l. One
+trial is one joint draw; the answer is one-sided: a zero polynomial
+evaluates to zero on every draw.
 
 Evaluation is vectorized across trials. The sieve takes circuits that are
 homogeneous of degree k_dim, as every builder circuit is, and the constant
@@ -20,19 +20,20 @@ as the reference this one is compared against.
 
 The sieve runs the level schedule built with the circuit
 (`Circuit.schedule`) in one buffer of value slots, each (P, B, W) limb
-planes. A group of a level, its general multiplies, its multiplies by a
-GF(2^16) tag or its sums, is one stacked `VecGF.mul`, one `mul_scalar16` or
-one XOR-reduce over gathered operands. A tag times a product that nothing
-else reads is one `VecGF.mul` that carries the tag. No call gathers more
-than a fixed byte budget per operand. A multiply group that exceeds it is
-split into several calls, and where one gate's vectors alone fill it (B = 31
-at K = 9) the gates run one at a time on slot views; there the Karatsuba
-leaf logs of every variable are taken once per column range, and a multiply
-with a variable as a factor reads them in its place. A sum group that
-exceeds it is XORed in place, term by term. Small circuits are then a few
-calls per level instead of one per gate, and wide vectors cost what one
-call per gate costs. Nothing is analysed per call, so a `run_trials` call
-makes no pass over the gates.
+planes. A group of a level, its multiplies or its sums, is one stacked
+`VecGF.mul` or one XOR-reduce over gathered operands. A multiply's tag joins
+its product's log constant; a sum's tagged terms are multiplied by their
+tags in one `mul_scalar16` before the XOR. No call gathers more than a fixed
+byte budget per operand. A multiply group that exceeds it is split into
+several calls, and where one gate's vectors alone fill it (B = 31 at K = 9)
+the gates run one at a time on slot views; there the Karatsuba leaf logs of
+every variable are taken once per column range, and a multiply with a
+variable as a factor reads them in its place. A sum group that exceeds it is
+XORed in place, term by term, each tagged term times its tag; but tagged sums
+whose calls would take more than four terms are split into calls of whole
+sums. Small circuits are then a few calls per level instead of one per gate,
+and wide vectors cost what one call per gate costs. Nothing is analysed per
+call, so a `run_trials` call makes no pass over the gates.
 
 Every zeta entry is the circuit evaluated at one subset S, so the 2^K
 columns are independent (the polynomial-space argument of inclusion and
@@ -44,6 +45,7 @@ partial reductions, the same bits as one run over all 2^K columns.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -52,8 +54,7 @@ from typing import Optional
 import numpy as np
 
 from ..graphs import RedBlueGraph, Witness, WitnessKind, require_even_k, validate_witness
-from .circuits import (MUL, SUM, TAG_MUL, Circuit, build_circuit_ebcs, build_circuit_ebp,
-                       build_circuit_ebt)
+from .circuits import MUL, SUM, Circuit, build_circuit_ebcs, build_circuit_ebp, build_circuit_ebt
 from .field import VecGF
 
 _TAG_ELL = 16  # tags live in the GF(2^16) subfield; cheap limb-wise products
@@ -64,7 +65,7 @@ class Substitution:
     """One batch of independent trials.
 
     vectors[t, i, j]: coefficient of u_j in the value of structural variable i
-    (trial t); tags[t, s]: nonzero scalar for tag variable s.
+    (trial t); tags[t, s]: nonzero scalar for tag s.
     """
 
     k_dim: int
@@ -83,11 +84,10 @@ def draw_substitution(
     return Substitution(k_dim, ell, vectors, tags)
 
 
-# Bytes of limb planes one stacked call may gather per operand. A larger
-# multiply group is split into calls of this size, and where one gate's
-# vectors alone fill it the multiplies run one at a time on slot views; a
-# sum group that exceeds it is XORed in place, term by term. At l = 64 a field multiply's temporaries take about 25 times its operand
-# bytes, so one call's working set stays under 1 MB, within a 2 MB L2 cache.
+# Bytes of limb planes one stacked call may gather per operand; the module
+# docstring says how larger groups run. At l = 64 a field multiply's
+# temporaries take about 25 times its operand bytes, so one call's working set
+# stays under 1 MB, within a 2 MB L2 cache.
 _BUDGET = 1 << 15
 # Bytes of value slots and leaf logs one run of the schedule may hold. A
 # circuit that needs more at full width runs over column ranges of the subset
@@ -130,7 +130,7 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
     z = buf[: len(sch.leaves)]
     cv = vf.to_planes(sub.vectors[:, sch.leaves, :].transpose(1, 0, 2)).transpose(1, 0, 2, 3)
     # tags and constants are constant vectors: (P, ntags + 1, B, 1) broadcasts;
-    # the last tag is one, for the untagged products of a step with tags
+    # the last tag is one, for the untagged products and terms of a step with tags
     tags = np.ones((sub.tags.shape[1] + 1, B, 1), dtype=np.uint64)
     tags[:-1, :, 0] = sub.tags.T
     tags = vf.to_planes(tags)
@@ -158,36 +158,42 @@ def _eval_fast(c: Circuit, sub: Substitution) -> np.ndarray:
         if logs is not None:
             for leaf, out in zip(z, logs):  # one leaf a call keeps the temporaries small
                 vf.leaf_logs(leaf, out)
-        for slot, kind, x in sch.fills:
-            buf[slot] = tags[:, x] if kind == "t" else 0
-            if kind == "c" and x:
-                buf[slot, 0] = 1
-        for kind, out, a, b, *rest in sch.steps:
+        for slot, bit in sch.consts:
+            buf[slot] = 0
+            buf[slot, 0] = bit
+        for kind, out, a, b, tg, *rest in sch.steps:
             if kind == SUM:
-                lo, hi = int(b[0]), int(b[-1])
-                if hi - lo <= chunk:
-                    xv[out] = xor.reduceat(xv[a[lo:hi]], b[:-1] - lo)
-                    continue
-                # too many terms to gather: XOR each into its sum's slot in place
-                for o, first, end in zip(out.tolist(), b[:-1].tolist(), b[1:].tolist()):
-                    terms = a[first:end].tolist()
-                    v = xv[o]
-                    xor(xv[terms[0]], xv[terms[1]], out=v)
-                    for t in terms[2:]:
-                        xor(v, xv[t], out=v)
+                s, n, b = 0, len(out), b.tolist()
+                # past the budget a call a term costs less than a call for every
+                # few sums, for untagged terms or calls of four terms or fewer
+                # (in-process timing of the sieve's tree and subgraph circuits)
+                calls = b[n] - b[0] <= chunk or tg is not None and chunk > 4
+                while s < n:
+                    # the sums from s on whose terms fit one call, or none
+                    e = bisect_right(b, b[s] + chunk) - 1 if calls else s
+                    lo, hi = b[s], b[e]
+                    if e > s:
+                        # limb by limb: the terms' tags broadcast over their planes
+                        ys = xv[a[lo:hi]] if tg is None else mul16(
+                            buf[a[lo:hi]], tags[:, tg[lo:hi], None]).view(xv.dtype)
+                        xv[out[s:e]] = xor.reduceat(ys, np.subtract(b[s:e], lo))
+                    else:
+                        # XOR each term, times its tag, into the sum's slot in place
+                        e, lo, hi = s + 1, b[s], b[s + 1]
+                        xs = a[lo:hi].tolist()
+                        ys = map(xv.__getitem__, xs) if tg is None else (
+                            xv[x] if t < 0 else mul16(buf[x], tags[:, t]).view(xv.dtype)
+                            for x, t in zip(xs, tg[lo:hi].tolist()))
+                        v, y = xv[out[s]], next(ys)
+                        if hi - lo == 1:
+                            v[...] = y
+                        else:
+                            xor(y, next(ys), out=v)
+                            for y in ys:
+                                xor(v, y, out=v)
+                    s = e
                 continue
-            if kind == TAG_MUL:
-                if chunk <= 1:
-                    for o, x, t in zip(out.tolist(), a.tolist(), b.tolist()):
-                        buf[o] = mul16(buf[x], tags[:, t])
-                    continue
-                for s in range(0, len(out), chunk):
-                    # gathered as (g, P, B, 2^w); the field wants the limb axis first
-                    part = slice(s, s + chunk)
-                    p = mul16(buf[a[part]].swapaxes(0, 1), tags[:, b[part]])
-                    buf[out[part]] = p.swapaxes(0, 1)
-                continue
-            tg, n_leaf = rest
+            n_leaf, = rest
             if chunk <= 1:
                 # the first n_leaf multiplies read their leaf factor's logs
                 ts = repeat(None) if tg is None else tg.tolist()

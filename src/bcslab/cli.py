@@ -272,11 +272,12 @@ def bench_rows(algo, kind_name, ks, n, p, seed, runs, trials=8, ell=32):
     kind = KINDS[kind_name]
     if algo == "repsets":
         _require_repsets_kind(kind)
-    rows = []
     G = corpus_mod.random_graph(n, p, seed)
-    for k in ks:
-        times = []
-        for r in range(runs):
+    times = [[] for _ in ks]
+    # run r of every row before run r + 1 of any, so that a change in the
+    # machine's speed during the call reaches every row alike
+    for r in range(runs):
+        for k, row in zip(ks, times):
             t0 = time.perf_counter()
             if algo == "algebraic":
                 # fixed trial count (no early exit) so rows reflect engine scaling
@@ -288,11 +289,9 @@ def bench_rows(algo, kind_name, ks, n, p, seed, runs, trials=8, ell=32):
                 solve_ebp_repsets(G, k)
             else:
                 raise ValueError(f"bench does not cover algo {algo!r}")
-            times.append((time.perf_counter() - t0) * 1000)
-        times.sort()
-        med = times[len(times) // 2]
-        rows.append((algo, kind_name, k, G.n, G.m, med, runs))
-    return rows
+            row.append((time.perf_counter() - t0) * 1000)
+    return [(algo, kind_name, k, G.n, G.m, sorted(row)[runs // 2], runs)
+            for k, row in zip(ks, times)]
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -29,17 +29,25 @@ def random_redblue(n, p, seed):
 
 @st.composite
 def random_circuits(draw):
-    """Circuits of up to 30 random gates over variables x0..x3, y0..y3 and
-    tags t0..t3, adds of two to four operands, with any output."""
+    """Circuits of up to 30 random gates over variables x0..x3 and y0..y3:
+    sums of one to four terms and products, each term and each product times
+    one of tags 0..3 or untagged, with any output."""
     gates = []
     for gid in range(draw(st.integers(1, 30))):
         ops = ["in", "c0", "c1"] + (["add", "mul"] if gid else [])
         op = draw(st.sampled_from(ops))
         if op == "in":
-            gates.append(("in", (draw(st.sampled_from("xyt")), draw(st.integers(0, 3)))))
-        elif op in ("add", "mul"):
-            n = draw(st.integers(2, 4)) if op == "add" else 2
-            gates.append((op,) + tuple(draw(st.integers(0, gid - 1)) for _ in range(n)))
+            gates.append(("in", (draw(st.sampled_from("xy")), draw(st.integers(0, 3)))))
+        elif op == "add":
+            terms = []
+            for _ in range(draw(st.integers(1, 4))):
+                i, s = draw(st.integers(0, gid - 1)), draw(st.none() | st.integers(0, 3))
+                terms.append(i if s is None else (i, s))
+            gates.append(("add", *terms))
+        elif op == "mul":
+            s = draw(st.none() | st.integers(0, 3))
+            gates.append(("mul", draw(st.integers(0, gid - 1)), draw(st.integers(0, gid - 1)))
+                         + (() if s is None else (s,)))
         else:
             gates.append((op,))
     return Circuit(tuple(gates), draw(st.integers(0, len(gates) - 1)), 4, 4)

@@ -34,11 +34,8 @@ def eval_fast(c, sub) -> np.ndarray:
             z[..., blk : 2 * blk] = z[..., :blk] ^ cv[..., j : j + 1]
         return z
 
-    def mul(a, b, scalar):
-        return vf.mul_scalar16(a, b) if scalar else vf.mul(a, b)
-
-    out = walk(c, leaf_vec, lambda s: tags[..., s : s + 1], consts.__getitem__,
-               np.bitwise_xor, mul)
+    out = walk(c, leaf_vec, consts.__getitem__, np.bitwise_xor, vf.mul,
+               lambda v, s: vf.mul_scalar16(v, tags[..., s : s + 1]))
     if out.shape[-1] == 1:
         # constant circuit: degree 0 means no monomial of positive degree
         return np.zeros(B, dtype=np.uint64)
@@ -57,13 +54,13 @@ def eval_exact(c, sub) -> np.ndarray:
             full[mask] = int(x)
         return GroupAlgebraElement(K, sub.ell, Basis.NILPOTENT, tuple(full))
 
-    def mul(a, b, _scalar):
+    def mul(a, b):
         return ga_multiply(a, b, Backend.SUBSET_CONVOLUTION)
 
     out = np.zeros((B, 1 << K), dtype=np.uint64)
     for t in range(B):
         # tags and constants have rank 0
         out[t] = walk(c, lambda i: elem({1 << j: x for j, x in enumerate(sub.vectors[t, i])}),
-                      lambda s: elem({0: sub.tags[t, s]}), lambda bit: elem({0: bit}),
-                      GroupAlgebraElement.add, mul).coeffs
+                      lambda bit: elem({0: bit}), GroupAlgebraElement.add, mul,
+                      lambda v, s: mul(v, elem({0: sub.tags[t, s]}))).coeffs
     return out

@@ -119,9 +119,9 @@ def test_circuit_validation():
         Circuit((("add", 0, 1), ("c0",)), 0, 1, 0)  # forward reference
     with pytest.raises(ValueError):
         Circuit((("c0",), ("c1",), ("add", 0, 1, 3)), 2, 1, 0)  # a third operand forward
-    for short in (("add",), ("add", 0)):  # an add needs two operands
-        with pytest.raises(ValueError):
-            Circuit((("c0",), short), 1, 1, 0)
+    with pytest.raises(ValueError):
+        Circuit((("c0",), ("add",)), 1, 1, 0)  # a sum needs a term
+    Circuit((("c0",), ("add", 0)), 1, 1, 0)  # one term will do
     with pytest.raises(ValueError):
         Circuit((("c0",),), 5, 1, 0)  # output out of range
     # a negative reference would read a gate from the end of the list
@@ -132,6 +132,24 @@ def test_circuit_validation():
             Circuit((("in", ("x", 1)), (op, 0, -2)), 1, 1, 0)
     with pytest.raises(ValueError):
         Circuit((("in", ("x", 1)), ("add", 0, 0, -1)), 1, 1, 0)
+    with pytest.raises(ValueError):
+        Circuit((("in", ("x", 1)), ("add", 0, (-1, 0))), 1, 1, 1)  # a tagged term too
+
+
+@pytest.mark.parametrize("gate", [("add", (0, 2)), ("add", 0, (0, -1)), ("mul", 0, 0, 2),
+                                  ("mul", 0, 0, -1)])
+def test_circuit_rejects_a_tag_out_of_range(gate):
+    # two tags, 0 and 1
+    x = ("in", ("x", 1))
+    Circuit((x, ("add", (0, 1)), ("mul", 0, 1, 1)), 2, 2, 2)
+    with pytest.raises(ValueError, match="tag index"):
+        Circuit((x, gate), 1, 2, 2)
+
+
+def test_circuit_rejects_a_tag_input():
+    # a tag is an index on a sum term or a product, never a gate
+    with pytest.raises(ValueError, match="not a gate"):
+        Circuit((("in", ("x", 1)), ("in", ("t", 0)), ("mul", 0, 1)), 2, 1, 1)
 
 
 def test_circuit_degrees_and_bound():
@@ -146,11 +164,14 @@ def test_dump_format():
     lines = text.strip().splitlines()
     assert lines[-1].startswith("out g")
     assert any(" = IN y" in l for l in lines)
-    assert any(" = IN t" in l for l in lines)
-    assert any(" = MUL " in l for l in lines)
-    assert any(" = ADD " in l for l in lines) or len(lines) < 8
-    four = Circuit(tuple(("in", ("x", i)) for i in range(4)) + (("add", 0, 1, 2, 3),), 4, 1, 0)
-    assert dump_circuit(four).splitlines()[4] == "g4 = ADD g0 g1 g2 g3"
+    assert not any(" = IN t" in l for l in lines)
+    # each path cell is a product that carries its tag
+    assert sum(" = MUL " in l and l.endswith(" t%d" % s) for l in lines
+               for s in range(c.n_tags)) == c.n_tags
+    four = Circuit(tuple(("in", ("x", i)) for i in range(4))
+                   + (("add", 0, 1, 2, 3), ("add", (4, 1), 2, (0, 0)), ("mul", 4, 5, 2)), 6, 2, 3)
+    assert dump_circuit(four).splitlines()[4:] == [
+        "g4 = ADD g0 g1 g2 g3", "g5 = ADD t1*g4 g2 t0*g0", "g6 = MUL g4 g5 t2", "out g6"]
 
 
 def test_gate_sharing():
@@ -161,18 +182,18 @@ def test_gate_sharing():
 
 
 # sha256 of repr((gates, output, degree_bound, n_tags)) over BUILDER_CORPUS, first
-# 16 hex digits, as the builders with one hand-written loop per tagged sum emitted it,
-# each sum a left-fold chain of binary adds
+# 16 hex digits, with each tag carried by its sum term or product and the top
+# cells' terms summed by the output
 BUILDER_GOLDEN = {
-    ("ebcs", 2): "79d01338c1537308",
-    ("ebcs", 4): "ec61b4cdd19582bf",
-    ("ebcs", 6): "e3a4d6f0871e4937",
-    ("ebt", 2): "ca9ccbc718ee356c",
-    ("ebt", 4): "2f1d7e67142651cd",
-    ("ebt", 6): "89ee5218c60cd31c",
-    ("ebp", 2): "6335c04b0ae52cb4",
-    ("ebp", 4): "9adf3e06bb1c309c",
-    ("ebp", 6): "e20361a3fae3e0d5",
+    ("ebcs", 2): "9bb2a5bd253e9e6e",
+    ("ebcs", 4): "8d9777460a7052eb",
+    ("ebcs", 6): "70f5eae743467d6f",
+    ("ebt", 2): "95fc69e72a09225c",
+    ("ebt", 4): "f01aae0a1f6ca83f",
+    ("ebt", 6): "ac1d6e5e051fcd3b",
+    ("ebp", 2): "35574135e62f9cd3",
+    ("ebp", 4): "b2aa9d09853bb03b",
+    ("ebp", 6): "4bbcd463127ec5f9",
 }
 BUILDERS = {"ebcs": build_circuit_ebcs, "ebt": build_circuit_ebt, "ebp": build_circuit_ebp}
 
@@ -188,24 +209,50 @@ def test_builder_gates_golden(name, k):
     h = hashlib.sha256()
     for g in builder_corpus():
         c = BUILDERS[name](g, k)
-        h.update(repr((*as_binary_adds(c), c.degree_bound, c.n_tags)).encode())
+        h.update(repr((c.gates, c.output, c.degree_bound, c.n_tags)).encode())
     assert h.hexdigest()[:16] == BUILDER_GOLDEN[(name, k)]
 
 
-def as_binary_adds(c):
-    """(gates, output) with each add of n operands re-expanded into the
-    left-fold chain of n - 1 binary adds it sums, gates renumbered to match."""
-    gates, new = [], []
-    for g in c.gates:
-        if g[0] in ("add", "mul"):
-            ops = [new[x] for x in g[1:]]
-            gates.append((g[0], ops[0], ops[1]))
-            for x in ops[2:]:
-                gates.append(("add", len(gates) - 1, x))
-        else:
-            gates.append(g)
-        new.append(len(gates) - 1)
-    return tuple(gates), new[c.output]
+def _terms(g):
+    """The (gate, tag or None) terms of a sum, or the factors of a product."""
+    if g[0] == "add":
+        return [i if type(i) is tuple else (i, None) for i in g[1:]]
+    return [(g[1], None), (g[2], g[3] if len(g) == 4 else None)]
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_builder_tags_on_terms_and_products(name):
+    unused = 0
+    for g in builder_corpus():
+        for k in (2, 4):
+            c = BUILDERS[name](g, k)
+            assert all(gate[0] != "in" or gate[1][0] in "xy" for gate in c.gates)
+            used = []
+            for gate in c.gates:
+                if gate[0] == "add":
+                    # a cell's sum is untagged, a sum over anchors tagged throughout
+                    tags = [s for _, s in _terms(gate)]
+                    assert tags.count(None) in (0, len(tags))
+                    used += [s for s in tags if s is not None]
+                elif gate[0] == "mul" and len(gate) == 4:
+                    used.append(gate[3])
+            assert len(set(used)) == len(used) and set(used) <= set(range(c.n_tags))
+            unused += c.n_tags - len(used)
+            if name == "ebp":  # a path cell's tag rides on its product
+                assert used == [gate[3] for gate in c.gates if gate[0] == "mul"]
+    # every tag is used once, but for a tree's two-sided split whose second
+    # side is zero: a first side of one tagged term is then no gate's term
+    assert (unused > 0) == (name == "ebt")
+
+
+@pytest.mark.parametrize("name", ["ebcs", "ebt"])
+def test_output_sums_the_top_cells_terms(name):
+    # each anchor's top cell is read by the output only, so it is no gate of
+    # its own: the output's terms are the top cells' products
+    for g in builder_corpus()[:4]:
+        c = BUILDERS[name](g, 4)
+        out = c.gates[c.output]
+        assert out[0] == "add" and all(c.gates[i][0] == "mul" for i, _ in _terms(out))
 
 
 def test_addtree_is_one_gate():
@@ -221,7 +268,7 @@ def test_addtree_is_one_gate():
 def ref_var_order(c):
     order = []
     for g in c.gates:
-        if g[0] == "in" and g[1][0] != "t" and g[1] not in order:
+        if g[0] == "in" and g[1] not in order:
             order.append(g[1])
     return order
 
@@ -232,16 +279,16 @@ def ref_degrees(c):
         if g[0] == "mul":
             deg.append(deg[g[1]] + deg[g[2]])
         elif g[0] == "add":
-            deg.append(max(deg[i] for i in g[1:]))
+            deg.append(max(deg[i] for i, _ in _terms(g)))
         else:
-            deg.append(1 if g[0] == "in" and g[1][0] != "t" else 0)
+            deg.append(1 if g[0] == "in" else 0)
     return deg
 
 
 def ref_homogeneous_degree(c):
     deg = ref_degrees(c)
     for g in c.gates:
-        if g[0] == "add" and len({deg[i] for i in g[1:]}) > 1:
+        if g[0] == "add" and len({deg[i] for i, _ in _terms(g)}) > 1:
             return None
     return deg[c.output]
 
@@ -250,17 +297,9 @@ def ref_last_uses(c):
     last = list(range(len(c.gates)))
     for gid, g in enumerate(c.gates):
         if g[0] in ("add", "mul"):
-            for i in g[1:]:
+            for i, _ in _terms(g):
                 last[i] = gid
     return last
-
-
-def ref_tag_side(c):
-    def is_tag(i):
-        return c.gates[i][0] == "in" and c.gates[i][1][0] == "t"
-
-    return [0 if g[0] != "mul" else 1 if is_tag(g[1]) else 2 if is_tag(g[2]) else 0
-            for g in c.gates]
 
 
 def check_analysis(c):
@@ -271,7 +310,6 @@ def check_analysis(c):
     last = ref_last_uses(c)
     last[c.output] = len(c.gates)  # the output outlives every gate
     assert c.last_use == last
-    assert c.tag_side == ref_tag_side(c)
 
 
 def test_builder_analysis_matches_reference():
@@ -284,12 +322,13 @@ def test_builder_analysis_matches_reference():
 @pytest.mark.parametrize("gates,out", [
     # mixed degrees: x1 * x2 + x1
     ([("in", ("x", 1)), ("in", ("x", 2)), ("mul", 0, 1), ("add", 2, 0)], 3),
-    # constants and a tag on either side of a multiply
-    ([("c1",), ("in", ("t", 0)), ("mul", 1, 0), ("c0",), ("mul", 3, 1), ("add", 2, 4)], 5),
+    # constants, a product that carries a tag and a tagged term
+    ([("c1",), ("in", ("x", 0)), ("mul", 1, 0, 0), ("c0",), ("mul", 3, 1), ("add", (2, 0), 4)],
+     5),
     # a repeated variable gate, a square and an unread gate
     ([("in", ("y", 3)), ("in", ("x", 0)), ("in", ("y", 3)), ("mul", 0, 2), ("mul", 3, 3)], 4),
-    # the output read by a later gate
-    ([("in", ("x", 1)), ("in", ("t", 0)), ("mul", 0, 1), ("add", 2, 2)], 2),
+    # the output read by a later gate, a one-term sum
+    ([("in", ("x", 1)), ("c1",), ("mul", 0, 1, 0), ("add", (2, 0))], 2),
     # an add of four operands, one repeated, of degrees 1, 2 and 1
     ([("in", ("x", 1)), ("in", ("y", 2)), ("mul", 0, 1), ("add", 0, 2, 1, 0)], 3),
 ])

@@ -245,8 +245,11 @@ def _reachable(c):
         g = stack.pop()
         if g not in seen:
             seen.add(g)
-            if c.gates[g][0] in ("add", "mul"):
-                stack += c.gates[g][1:]
+            gate = c.gates[g]
+            if gate[0] == "add":
+                stack += [i[0] if type(i) is tuple else i for i in gate[1:]]
+            elif gate[0] == "mul":
+                stack += gate[1:3]
     return seen
 
 
@@ -293,11 +296,12 @@ def test_level_schedule_on_wide_vectors(batch, per_call):
     # a constant one, and a sum of constants, times a variable
     ([("in", ("x", 1)), ("c1",), ("mul", 1, 0)], 2),
     ([("in", ("x", 1)), ("c1",), ("c0",), ("add", 1, 2), ("mul", 0, 3)], 4),
-    # tags read as values: a sum of two tags, and a product of two tags
-    ([("in", ("t", 0)), ("in", ("t", 1)), ("add", 0, 1), ("in", ("y", 2)), ("mul", 3, 2)], 4),
-    ([("in", ("t", 0)), ("in", ("t", 1)), ("mul", 0, 1), ("in", ("y", 2)), ("mul", 2, 3)], 4),
+    # tags on constants: a sum of two tagged ones, and a tagged one times a
+    # tagged variable
+    ([("c1",), ("add", (0, 0), (0, 1)), ("c0",), ("in", ("y", 2)), ("mul", 3, 1)], 4),
+    ([("c1",), ("add", (0, 0)), ("c0",), ("in", ("y", 2)), ("mul", 3, 1, 1)], 4),
     # the output a variable, after gates it does not read
-    ([("in", ("x", 1)), ("in", ("t", 0)), ("mul", 0, 1), ("in", ("x", 2))], 3),
+    ([("in", ("x", 1)), ("c1",), ("mul", 0, 1, 0), ("in", ("x", 2))], 3),
 ])
 def test_level_schedule_fills_tags_and_constants(gates, out):
     assert _same_as_reference(_tiny(gates, out, 1, 2), 1, 64, 3, seed=4).any()
@@ -315,14 +319,10 @@ def test_schedule_holds_only_reachable_gates():
             assert c.homogeneous_degree == 4 + extra or c.gates[c.output][0] == "c0"
             live = _reachable(c)
             dead += len(c.gates) - len(live)
-            muls = sum(1 for i in live if c.gates[i][0] == "mul")
-            adds = sum(1 for i in live if c.gates[i][0] == "add")
-            # a multiply entry that carries a tag stands for the tag's multiply too
-            folded = sum(int((s[4] >= 0).sum()) for s in c.schedule.steps
-                         if s[0] == MUL and s[4] is not None)
-            assert sum(len(s[1]) for s in c.schedule.steps if s[0] != SUM) + folded == muls
-            # each add gate is one sum of the schedule
-            assert sum(len(s[1]) for s in c.schedule.steps if s[0] == SUM) == adds
+            # each multiply and each add gate is one entry of a step of its kind
+            for kind, op in ((MUL, "mul"), (SUM, "add")):
+                assert (sum(len(s[1]) for s in c.schedule.steps if s[0] == kind)
+                        == sum(1 for i in live if c.gates[i][0] == op))
             # no step writes two values to one slot
             assert all(len(set(s[1].tolist())) == len(s[1]) for s in c.schedule.steps)
             if c.gates[c.output][0] != "c0":
@@ -335,15 +335,16 @@ def test_schedule_sums_an_add_in_one_step():
     # reads keeps a slot of its own
     x = [("in", ("x", i)) for i in range(4)]
     four = _tiny(x + [("add", 0, 1, 2, 3)], 4, 1)
-    (kind, out, terms, starts), = four.schedule.steps
+    (kind, out, terms, starts, tags), = four.schedule.steps
     assert kind == SUM and starts.tolist() == [0, 4] and sorted(terms.tolist()) == [0, 1, 2, 3]
+    assert tags is None
     shared = _tiny(x + [("add", 0, 1), ("mul", 4, 3), ("add", 4, 2, 5)], 6, 2)
     assert [(s[0], len(s[1])) for s in shared.schedule.steps] == [(SUM, 1), (MUL, 1), (SUM, 1)]
     for c, k_dim in ((four, 1), (shared, 2)):
         _same_as_reference(c, k_dim, 64, 3, seed=2)
 
 
-# Column chunks of the subset axis, folded tags and the leaf logs
+# Column chunks of the subset axis, tagged steps and the leaf logs
 
 
 @settings(max_examples=80, deadline=None)
@@ -405,11 +406,11 @@ def test_chunk_width_fits_the_budget(monkeypatch):
 # x0 x1 x2 x3 two ways: the product of x0 x1 dies after the first level, and
 # x0 x1 x2 then takes a leaf's slot, where the output's multiply reads it
 # (as the second factor of x3 times it, and as a factor of a product of two
-# products, the other x3 times a tag)
+# values, the other a sum of one term, x3 times a tag)
 _REUSED = [
     [("in", ("x", i)) for i in range(4)] + [("mul", 0, 1), ("mul", 4, 2), ("mul", 5, 3)],
-    [("in", ("x", i)) for i in range(4)] + [("in", ("t", 0)), ("mul", 0, 1), ("mul", 5, 2),
-                                          ("mul", 3, 4), ("mul", 6, 7)],
+    [("in", ("x", i)) for i in range(4)] + [("mul", 0, 1), ("add", (3, 0)), ("mul", 4, 2),
+                                          ("mul", 6, 5)],
 ]
 
 
@@ -434,37 +435,76 @@ def test_leaf_logs_never_stand_for_a_reused_slot(monkeypatch, gates, per_call):
         assert _same_as_reference(c, 4, 64, batch, seed=7).all()
 
 
-def test_schedule_folds_a_tag_into_a_product_read_once():
-    from bcslab.algebra.circuits import TAG_MUL
-
-    # t0 (x0 x1): one multiply entry that carries tag 0, x0 read from the leaf logs
-    x = [("in", ("x", 0)), ("in", ("x", 1)), ("in", ("t", 0))]
-    once = _tiny(x + [("mul", 0, 1), ("mul", 2, 3)], 4, 2, 1)
-    (kind, out, a, b, t, n_leaf), = once.schedule.steps
+def test_schedule_carries_tags_on_its_steps():
+    # t0 (x0 x1): one multiply entry that carries tag 0, x0 read from the leaf
+    # logs; t1 x0 + x1 + t0 x2: one sum whose terms carry tags 1, none and 0
+    x = [("in", ("x", i)) for i in range(3)]
+    prod = _tiny(x + [("mul", 0, 1, 0)], 3, 2, 1)
+    (kind, out, a, b, t, n_leaf), = prod.schedule.steps
     assert kind == MUL and n_leaf == 1 and t.tolist() == [0] and len(out) == 1
-    # x0 x1 also read by the sum: the product and the tag's multiply stay apart
-    twice = _tiny(x + [("mul", 0, 1), ("mul", 2, 3), ("add", 4, 3)], 5, 2, 1)
-    assert [s[0] for s in twice.schedule.steps] == [MUL, TAG_MUL, SUM]
-    assert twice.schedule.steps[0][4] is None
-    # a product that already carries a tag is not folded into another
-    nested = _tiny(x + [("in", ("t", 1)), ("mul", 0, 1), ("mul", 2, 4), ("mul", 3, 5)], 6, 2, 2)
-    assert [s[0] for s in nested.schedule.steps] == [MUL, TAG_MUL]
-    # two tags times x0 x1: the later multiply is its last reader, but the
-    # earlier one lies between them
-    shared = _tiny(x + [("in", ("t", 1)), ("mul", 0, 1), ("mul", 2, 4), ("mul", 3, 4),
-                        ("add", 5, 6)], 7, 2, 2)
-    assert [(s[0], len(s[1])) for s in shared.schedule.steps] == [(MUL, 1), (TAG_MUL, 2), (SUM, 1)]
-    assert shared.schedule.steps[0][4] is None
-    for c in (once, twice, nested, shared):
-        assert _same_as_reference(c, 2, 64, 3, seed=2).all()
+    terms = _tiny(x + [("add", (0, 1), 1, (2, 0))], 3, 1, 2)
+    (kind, out, a, b, t), = terms.schedule.steps
+    assert kind == SUM and b.tolist() == [0, 3] and t.tolist() == [1, -1, 0]
+    # a tagged sum of one term read by a multiply that carries another tag:
+    # a tree's two-sided split of one tagged term a side
+    one = _tiny(x + [("add", (1, 0)), ("mul", 3, 0, 1)], 4, 2, 2)
+    (kind, _, _, _, t), (kind2, *_, t2, _) = one.schedule.steps
+    assert (kind, t.tolist(), kind2, t2.tolist()) == (SUM, [0], MUL, [1])
+    assert _same_as_reference(prod, 2, 64, 3, seed=2).all()
+    assert _same_as_reference(one, 2, 64, 3, seed=2).all()
+    assert _same_as_reference(terms, 1, 64, 3, seed=2).all()
+
+
+@pytest.mark.parametrize("per_call", [1, 80, 1 << 15])
+def test_tagged_sums_in_place_and_stacked(monkeypatch, per_call):
+    # four tagged sums of 3, 1, 6 and 2 terms on one level, then a sum of
+    # them. At K = 1 and B = 1 a slot holds 16 bytes: a per-call budget of
+    # one byte XORs every term in place, times its tag; 80 bytes gather five
+    # terms a call, so the sum of two gets a call, the sum of six runs in
+    # place and the other two share a call; the default gathers each level in
+    # one call. At B = 31 even 80 bytes run every sum in place
+    from bcslab.algebra import mldetect
+
+    monkeypatch.setattr(mldetect, "_BUDGET", per_call)
+    x = [("in", ("x", i)) for i in range(4)]
+    sums = [("add", (0, 0), (1, 1), (2, 2)), ("add", (3, 3)),
+            ("add", (0, 4), (1, 5), (2, 6), (3, 7), (0, 8), (1, 9)), ("add", (2, 10), 3),
+            ("add", 4, (5, 11), 6, 7)]
+    c = _tiny(x + sums, 8, 1, 12)
+    # the level's sums, from the last gate down
+    assert c.schedule.steps[0][3].tolist() == [0, 2, 8, 9, 12]
+    for batch in (1, 31):
+        assert _same_as_reference(c, 1, 64, batch, seed=3).all()
+
+
+@pytest.mark.parametrize("kind,n,p,gseed,width,per_call", [
+    # one range of 2^7 columns, one gate a call: multiplies gate by gate
+    (WitnessKind.TREE, 10, 0.35, 2, 7, 1),
+    # four and two ranges of 2^5 columns, four gates a call
+    (WitnessKind.TREE, 7, 0.5, 1, 5, 4),
+    (WitnessKind.SUBGRAPH, 7, 0.5, 1, 5, 4),
+])
+def test_wide_tree_and_subgraph_circuits(kind, n, p, gseed, width, per_call):
+    # k = 6 at l = 64 and B = 31 with the default budgets, as the sieve
+    # workload runs them: tagged sums of more terms than one call gathers are
+    # XORed in place, term by term
+    from bcslab.algebra import mldetect
+
+    build, extra = _BUILDERS[kind]
+    c, k_dim = build(random_redblue(n, p, gseed), 6), 6 + extra
+    assert mldetect._chunk_bits(c, 64, 31, k_dim) == width
+    assert mldetect._BUDGET // (4 * 2 * 31 << width) == per_call
+    assert any(s[0] == SUM and s[4] is not None and max(s[3][1:] - s[3][:-1]) > per_call
+               for s in c.schedule.steps)
+    assert _same_as_reference(c, k_dim, 64, 31, seed=6).any()
 
 
 def test_zero_tag_is_rejected():
     # a multiply that carries a tag adds the tag's log, and zero has none
     from bcslab.algebra.mldetect import Substitution
 
-    x = [("in", ("x", 0)), ("in", ("x", 1)), ("in", ("t", 0))]
-    c = _tiny(x + [("mul", 0, 1), ("mul", 2, 3)], 4, 2, 1)
+    x = [("in", ("x", 0)), ("in", ("x", 1))]
+    c = _tiny(x + [("mul", 0, 1, 0)], 2, 2, 1)
     sub = draw_substitution(2, 1, 2, 64, seed=2, batch=3)
     assert _eval_fast(c, sub).all()
     tags = sub.tags.copy()
