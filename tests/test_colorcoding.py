@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -366,3 +367,34 @@ def test_randomized_solve_leaves_no_cyclic_garbage(kind):
     garbage = _garbage_after(lambda: answers.append(
         randomized_solve(g, 4, kind, trials=4, seed=1, want_witness=True, ell=16)))
     assert garbage == 0 and answers[0].witness is not None
+
+
+def _dp_witness_digest():
+    """sha256 over the three DPs' witnesses and colorful_bcs_dp's entries on a
+    seeded corpus, with the number of hits per DP."""
+    rng = random.Random(1201)
+    h = hashlib.sha256()
+    hits = [0, 0, 0]
+    for _ in range(60):
+        g = random_redblue(rng.randrange(6, 12), rng.choice([0.35, 0.6]), rng.randrange(10**6))
+        for k in (2, 4, 6):
+            for _ in range(4):
+                sigma = EdgeColoring(k, tuple(rng.randrange(1, k + 1) for _ in range(g.m)))
+                tau = VertexColoring(k, (0,) + tuple(rng.randrange(1, k + 2) for _ in range(g.n)))
+                stats = {}
+                ws = (colorful_bcs_dp(g, sigma, k, stats=stats), colorful_bt_dp(g, tau, k),
+                      colorful_ebp_dp(g, tau, k))
+                for i, w in enumerate(ws):
+                    hits[i] += w is not None
+                h.update(repr(([None if w is None else w.edge_indices for w in ws],
+                               stats["entries"])).encode())
+    return h.hexdigest(), hits
+
+
+# computed on the per-DP level loops, before they shared one frame
+DP_WITNESS_GOLDEN = ("50540bbe6d61edef1d967f0cf59ecd5cf7468a41bf38f8d466ffe02fcb38ab33",
+                     [529, 279, 276])
+
+
+def test_dp_witnesses_golden():
+    assert _dp_witness_digest() == DP_WITNESS_GOLDEN
