@@ -31,8 +31,9 @@ expansion checks.
 
 A Circuit is analysed once, when it is constructed. The pass that checks the
 gate references and tag indices numbers the structural variables and takes
-every gate's degree and last use. `walk` evaluates a circuit in one loop over
-its gates for any choice of value rules; `expand_multilinear` and the tests'
+every gate's degree, for the output's homogeneous degree. `walk` evaluates a
+circuit in one loop over its gates for any choice of value rules, after a
+pass that finds each value's last reader; `expand_multilinear` and the tests'
 reference evaluators go through it. A second pass, from the output down,
 builds the sieve's level schedule (`Schedule`): only the gates the output
 reads, grouped by level into multiplies and sums, each with its tags, with
@@ -61,10 +62,8 @@ class Circuit:
     dominates the structural degree of every monomial.
 
     Construction also stores var_index, each structural variable's number in
-    order of first appearance; last_use[g], the last gate that reads g (g if
-    none does, len(gates) for the output); homogeneous_degree, the output
-    degree if every add sums equal degrees; and schedule, the sieve's level
-    schedule.
+    order of first appearance; homogeneous_degree, the output degree if every
+    add sums equal degrees; and schedule, the sieve's level schedule.
     """
 
     gates: tuple
@@ -72,10 +71,8 @@ class Circuit:
     degree_bound: int
     n_tags: int
     var_index: dict = field(init=False, repr=False, compare=False)
-    last_use: list = field(init=False, repr=False, compare=False)
     homogeneous_degree: Optional[int] = field(init=False, repr=False, compare=False)
     schedule: "Schedule" = field(init=False, repr=False, compare=False)
-    _degrees: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gates = self.gates
@@ -85,7 +82,6 @@ class Circuit:
         n_tags = self.n_tags
         var_index: dict = {}
         deg = [0] * n
-        last = list(range(n))
         homogeneous = True
         # one loop, the common gates first: it runs on every circuit built
         for gid, g in enumerate(gates):
@@ -101,7 +97,6 @@ class Circuit:
                             raise ValueError("tag index out of range")
                     if not 0 <= i < gid:
                         raise ValueError("gate references must precede the gate")
-                    last[i] = gid
                     ds.append(deg[i])
                 deg[gid] = max(ds)
                 if min(ds) != deg[gid]:
@@ -115,7 +110,6 @@ class Circuit:
                     _, i, j = g
                 if not (0 <= i < gid and 0 <= j < gid):
                     raise ValueError("gate references must precede the gate")
-                last[i] = last[j] = gid
                 deg[gid] = deg[i] + deg[j]
             elif op == "in":
                 key = g[1]
@@ -123,17 +117,10 @@ class Circuit:
                     raise ValueError("a tag is an index on a sum term or a product, not a gate")
                 var_index.setdefault(key, len(var_index))
                 deg[gid] = 1
-        last[self.output] = n
         put = object.__setattr__
         put(self, "var_index", var_index)
-        put(self, "last_use", last)
         put(self, "homogeneous_degree", deg[self.output] if homogeneous else None)
-        put(self, "_degrees", deg)
         put(self, "schedule", _schedule(gates, self.output, var_index))
-
-    def degrees(self) -> list:
-        """Structural degree of every gate; constants have degree 0."""
-        return self._degrees
 
 
 MUL, SUM = 0, 1
@@ -278,34 +265,35 @@ def _schedule(gates: tuple, out: int, var_index: dict) -> Schedule:
 
 def walk(c: Circuit, var: Callable, const: Callable, add: Callable, mul: Callable,
          tag: Callable):
-    """The output value of c under one set of value rules, in one pass.
+    """The output value of c under one set of value rules.
 
     var(i) gives variable number i (c.var_index), const(bit) c0 or c1;
     mul(a, b) multiplies two values, tag(v, s) multiplies value v by tag s,
-    and add(a, b) is folded left over a sum's terms. A value is dropped after
-    its last use.
+    and add(a, b) is folded left over a sum's terms. A first pass finds each
+    value's last reader; the value is dropped once that gate has run.
     """
-    gates, last, var_index = c.gates, c.last_use, c.var_index
+    gates, var_index = c.gates, c.var_index
+    reads = [[i[0] if type(i) is tuple else i for i in g[1:]] if g[0] == "add"
+             else g[1:3] if g[0] == "mul" else () for g in gates]
+    last = {i: gid for gid, rs in enumerate(reads) for i in rs}
+    last[c.output] = len(gates)
     vals: list = [None] * len(gates)
     for gid, g in enumerate(gates):
         op = g[0]
-        if op == "add" or op == "mul":
-            if op == "add":
-                reads = [i[0] if type(i) is tuple else i for i in g[1:]]
-                v = reduce(add, [tag(vals[i[0]], i[1]) if type(i) is tuple else vals[i]
-                                 for i in g[1:]])
-            else:
-                reads = g[1:3]
-                v = mul(vals[g[1]], vals[g[2]])
-                if len(g) == 4:
-                    v = tag(v, g[3])
-            for x in reads:
-                if last[x] == gid:
-                    vals[x] = None
+        if op == "add":
+            v = reduce(add, [tag(vals[i[0]], i[1]) if type(i) is tuple else vals[i]
+                             for i in g[1:]])
+        elif op == "mul":
+            v = mul(vals[g[1]], vals[g[2]])
+            if len(g) == 4:
+                v = tag(v, g[3])
         elif op == "in":
             v = var(var_index[g[1]])
         else:
             v = const(op == "c1")
+        for x in reads[gid]:
+            if last[x] == gid:
+                vals[x] = None
         vals[gid] = v
     return vals[c.output]
 

@@ -15,6 +15,12 @@ label set L is reachable, so a cell over h labels is 2^h bits wide; h is
 capped at MAX_LABELS = 20. Adding label bit c to the sets of a cell S that
 lack it is (S & keep[c]) << c, and the disjoint-union join of two cells walks
 the set bits L1 of the sparser one and ORs in (other & disjoint_from[L1]) << L1.
+
+The three DPs share one frame, `_frame`: the (red, blue) tables, the level
+loop with its early exit, the search for a top anchor whose (k/2, k/2) cell
+holds every label, and the witness walk. A DP only gives its level-0 cells,
+the step that makes a row of the next level from the one below, and the walk
+step that splits a popped cell into its children.
 """
 from __future__ import annotations
 
@@ -53,16 +59,6 @@ class VertexColoring:
             raise ValueError("vertex labels must lie in 1..k+1")
 
 
-def _check_sigma(G, sigma, k):
-    if sigma.k != k or len(sigma.labels) != G.m:
-        raise ValueError("edge coloring does not match (G, k)")
-
-
-def _check_tau(G, tau, k):
-    if tau.k != k or len(tau.labels) != G.n + 1:
-        raise ValueError("vertex coloring does not match (G, k)")
-
-
 MAX_LABELS = 20
 
 
@@ -83,6 +79,17 @@ def _keep_masks(labels: int) -> tuple:
             period <<= 1
         keep.append(mask)
     return tuple(keep)
+
+
+def _masks_for(coloring, k: int, size: int) -> tuple:
+    """(keep, disjoint) for coloring's labels, once k is even and coloring is
+    k labels on G's m edges (size = m) or k + 1 on its vertices (size = n + 1):
+    the keep masks, and a fresh _disjoint_from memo."""
+    require_even_k(k)
+    if coloring.k != k or len(coloring.labels) != size:
+        raise ValueError(f"{type(coloring).__name__} does not match (G, k)")
+    labels = k if type(coloring) is EdgeColoring else k + 1
+    return _keep_masks(labels), {0: (1 << (1 << labels)) - 1}
 
 
 def _disjoint_from(L: int, disjoint: dict, keep: tuple) -> int:
@@ -111,16 +118,6 @@ def _join(a: int, b: int, disjoint: dict, keep: tuple) -> int:
     return out
 
 
-def _submasks(L: int):
-    """Every submask of L, from L down to 0."""
-    sub = L
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & L
-
-
 def _vertex_unions(n: int, ends: list, row: list) -> list:
     """acc[x]: the union of row[e] over the edges e at vertex x."""
     acc = [0] * (n + 1)
@@ -131,9 +128,73 @@ def _vertex_unions(n: int, ends: list, row: list) -> list:
     return acc
 
 
-def _holder(row: list, G: RedBlueGraph, vertices, L: int) -> int:
-    """The first edge at the given vertices, in adjacency order, whose cell holds L."""
-    return next(e for x in vertices for _, e in G.adjacency[x] if row[e] >> L & 1)
+def _child(G: RedBlueGraph, cells, vertices, r: int, b: int, L: int) -> tuple:
+    """The walk cell (e, r, b, L) of the first edge e at the given vertices,
+    in adjacency order, whose cell (r, b) holds L."""
+    row = cells[r][b]
+    return next(e for x in vertices for _, e in G.adjacency[x] if row[e] >> L & 1), r, b, L
+
+
+def _split(G: RedBlueGraph, cells, lower, rc: int, bc: int, rest: int, one, two) -> tuple:
+    """The two walk cells of the first split of (rc, bc) edges, in
+    count_splits order, and of label set rest into s and rest ^ s, over the
+    submasks s from rest down to 0, that the lower tables hold. one and two
+    are (index in lower, vertices for _child, label bits the side adds)."""
+    (i1, at1, add1), (i2, at2, add2) = one, two
+    for (r1, b1), (r2, b2) in count_splits(rc, bc):
+        n1, n2 = lower[r1][b1][i1], lower[r2][b2][i2]
+        s = rest
+        while True:
+            L1, L2 = s | add1, rest ^ s | add2
+            if n1 >> L1 & 1 and n2 >> L2 & 1:
+                return _child(G, cells, at1, r1, b1, L1), _child(G, cells, at2, r2, b2, L2)
+            if not s:
+                break
+            s = (s - 1) & rest
+
+
+def _frame(kind: WitnessKind, k: int, labels: int, base: list, below, step, children,
+           stats: Optional[dict] = None) -> Optional[Witness]:
+    """The table, level loop, top-anchor search and witness walk of a colorful DP.
+
+    cells[r][b] is the row of cells, one per anchor, for r red and b blue
+    edges. Level j = r + b reads level j - 1 through lower[r][b] =
+    below(cells[r][b]) (the rows themselves when below is None), and level
+    1 reads lower[0][0] = base: step(lower, r, b) returns row (r, b). A level
+    whose rows are all empty ends the loop, and the DP answers None. Else
+    the witness grows from the first anchor whose (k/2, k/2) cell holds the
+    full set of `labels` labels: children(cells, lower, out, anchor, r, b, L)
+    appends a popped cell's witness edges to out and returns its children,
+    the cells (anchor, r, b, L) whose label sets make up L.
+    stats["entries"], when given, counts the (anchor, r, b, label set)
+    entries of the finished table.
+    """
+    half = k // 2
+    cells = [[None] * (half + 1) for _ in range(half + 1)]
+    lower = cells if below is None else [[None] * (half + 1) for _ in range(half + 1)]
+    lower[0][0] = base
+    for j in range(1, k + 1):
+        if j > 1 and below is not None:
+            for r, b in count_level(j - 1, half):
+                lower[r][b] = below(cells[r][b])
+        alive = False
+        for r, b in count_level(j, half):
+            row = cells[r][b] = step(lower, r, b)
+            alive = alive or any(row)
+        if not alive:
+            break
+    if stats is not None:
+        stats["entries"] = sum(c.bit_count() for rows in cells for row in rows if row for c in row)
+    if not alive:
+        return None
+    full = (1 << labels) - 1
+    anchor = next((a for a, cell in enumerate(cells[half][half]) if cell >> full & 1), None)
+    if anchor is None:
+        return None
+    out, stack = [], [(anchor, half, half, full)]
+    while stack:
+        stack.extend(children(cells, lower, out, *stack.pop()))
+    return Witness(kind, tuple(sorted(out)))
 
 
 def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
@@ -143,227 +204,141 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
     stats["entries"], when given, counts the (anchor, r, b, label set)
     entries the table reached.
     """
-    require_even_k(k)
-    _check_sigma(G, sigma, k)
-    keep = _keep_masks(k)
-    half = k // 2
-    m = G.m
+    keep, disjoint = _masks_for(sigma, k, G.m)
     ends = [(u, v) for u, v, _ in G.edges]
-    red = [c is EdgeColor.RED for _, _, c in G.edges]
-    lab = [l - 1 for l in sigma.labels]
-    disjoint = {0: (1 << (1 << k)) - 1}
+    reds, blues = G.red_edges(), G.blue_edges()
+    bit = [1 << (l - 1) for l in sigma.labels]
+    lacks = [keep[l - 1] for l in sigma.labels]
     # cells[r][b][e]: label sets of connected subgraphs with r red and b blue
     # edges that contain e. near[r][b][e]: those that contain an edge at an
-    # end of e and lack e's label (a set holding e itself has e's label).
-    cells = [[None] * (half + 1) for _ in range(half + 1)]
-    near = [[None] * (half + 1) for _ in range(half + 1)]
-    cells[1][0] = [1 << (1 << c) if is_red else 0 for c, is_red in zip(lab, red)]
-    cells[0][1] = [0 if is_red else 1 << (1 << c) for c, is_red in zip(lab, red)]
-    entries = m
-    for j in range(2, k + 1):
-        for r, b in count_level(j - 1, half):
-            acc = _vertex_unions(G.n, ends, cells[r][b])
-            near[r][b] = [(acc[u] | acc[v]) & keep[c] for (u, v), c in zip(ends, lab)]
-        alive = False
-        for r, b in count_level(j, half):
-            row = [0] * m
-            for e in range(m):
-                if red[e]:
-                    if not r:
-                        continue
-                    rc, bc = r - 1, b
-                elif not b:
-                    continue
-                else:
-                    rc, bc = r, b - 1
-                cell = near[rc][bc][e]
-                for (r1, b1), (r2, b2) in count_splits(rc, bc):
-                    if (r1, b1) <= (r2, b2):  # the join is symmetric
-                        n1, n2 = near[r1][b1][e], near[r2][b2][e]
-                        if n1 and n2:
-                            cell |= _join(n1, n2, disjoint, keep)
-                if cell:
-                    row[e] = cell << (1 << lab[e])
-                    entries += cell.bit_count()
-                    alive = True
-            cells[r][b] = row
-        if not alive:
-            break
-    if stats is not None:
-        stats["entries"] = entries
-    if not alive:
-        return None
+    # end of e and lack e's label (a set holding e itself has e's label);
+    # near[0][0] holds the empty set at every edge, so level 1 is each edge alone.
 
-    full = (1 << k) - 1
-    top = cells[half][half]
-    anchor = next((e for e in range(m) if top[e] >> full & 1), None)
-    if anchor is None:
-        return None
-    out = []
-    stack = [(anchor, half, half, full)]
-    while stack:
-        e, r, b, L = stack.pop()
+    def near_row(row):
+        acc = _vertex_unions(G.n, ends, row)
+        return [(acc[u] | acc[v]) & c for (u, v), c in zip(ends, lacks)]
+
+    def step(near, r, b):
+        row = [0] * G.m
+        for edges, rc, bc in ((reds, r - 1, b), (blues, r, b - 1)):
+            if rc < 0 or bc < 0:
+                continue
+            extend = near[rc][bc]
+            # the join is symmetric: each unordered split once
+            splits = [(near[r1][b1], near[r2][b2])
+                      for (r1, b1), (r2, b2) in count_splits(rc, bc) if (r1, b1) <= (r2, b2)]
+            for e in edges:
+                cell = extend[e]
+                for n1, n2 in splits:
+                    a1, a2 = n1[e], n2[e]
+                    if a1 and a2:
+                        cell |= _join(a1, a2, disjoint, keep)
+                row[e] = cell << bit[e]
+        return row
+
+    def children(cells, near, out, e, r, b, L):
         out.append(e)
         if r + b == 1:
-            continue
-        rc, bc = (r - 1, b) if red[e] else (r, b - 1)
-        rest = L ^ (1 << lab[e])
+            return ()
+        rc, bc = (r - 1, b) if G.edges[e][2] is EdgeColor.RED else (r, b - 1)
+        rest = L ^ bit[e]
         if near[rc][bc][e] >> rest & 1:
-            stack.append((_holder(cells[rc][bc], G, ends[e], rest), rc, bc, rest))
-            continue
-        for (r1, b1), (r2, b2) in count_splits(rc, bc):
-            n1, n2 = near[r1][b1][e], near[r2][b2][e]
-            L1 = next((s for s in _submasks(rest) if n1 >> s & 1 and n2 >> (rest ^ s) & 1),
-                      None)
-            if L1 is not None:
-                stack.append((_holder(cells[r1][b1], G, ends[e], L1), r1, b1, L1))
-                stack.append((_holder(cells[r2][b2], G, ends[e], rest ^ L1), r2, b2, rest ^ L1))
-                break
-    return Witness(WitnessKind.SUBGRAPH, tuple(sorted(out)))
+            return (_child(G, cells, ends[e], rc, bc, rest),)
+        return _split(G, cells, near, rc, bc, rest, (e, ends[e], 0), (e, ends[e], 0))
+
+    return _frame(WitnessKind.SUBGRAPH, k, k, [1] * G.m, near_row, step, children, stats)
 
 
 def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
     """[k+1]-vertex-colorful balanced tree with k edges, if any."""
-    require_even_k(k)
-    _check_tau(G, tau, k)
-    keep = _keep_masks(k + 1)
-    half = k // 2
-    m = G.m
+    keep, disjoint = _masks_for(tau, k, G.n + 1)
     ends = [(u, v) for u, v, _ in G.edges]
-    red = [c is EdgeColor.RED for _, _, c in G.edges]
-    lab = [l - 1 for l in tau.labels]
-    disjoint = {0: (1 << (1 << (k + 1))) - 1}
+    reds, blues = G.red_edges(), G.blue_edges()
+    bit = [1 << l >> 1 for l in tau.labels]
+    lacks = [keep[l - 1] for l in tau.labels]
     # cells[r][b][e]: vertex label sets of colorful trees with r red and b blue
     # edges that contain e; at[r][b][x]: the union over the edges at x. A tree
-    # through x holds x's label, which is what keeps e out of its own sides.
-    cells = [[None] * (half + 1) for _ in range(half + 1)]
-    at = [[None] * (half + 1) for _ in range(half + 1)]
-    base = [1 << ((1 << lab[u]) | (1 << lab[v])) if lab[u] != lab[v] else 0 for u, v in ends]
-    cells[1][0] = [c if is_red else 0 for c, is_red in zip(base, red)]
-    cells[0][1] = [0 if is_red else c for c, is_red in zip(base, red)]
-    for j in range(2, k + 1):
-        for r, b in count_level(j - 1, half):
-            at[r][b] = _vertex_unions(G.n, ends, cells[r][b])
-        alive = False
-        for r, b in count_level(j, half):
-            row = [0] * m
-            for e in range(m):
-                if red[e]:
-                    if not r:
-                        continue
-                    rc, bc = r - 1, b
-                elif not b:
-                    continue
-                else:
-                    rc, bc = r, b - 1
-                u, v = ends[e]
-                cu, cv = lab[u], lab[v]
-                # u or v a pendant leaf, then a u-side and a v-side subtree
-                cell = ((at[rc][bc][v] & keep[cu]) << (1 << cu)
-                        | (at[rc][bc][u] & keep[cv]) << (1 << cv))
-                for (r1, b1), (r2, b2) in count_splits(rc, bc):
-                    n1, n2 = at[r1][b1][u], at[r2][b2][v]
-                    if n1 and n2:
-                        cell |= _join(n1, n2, disjoint, keep)
-                if cell:
-                    row[e] = cell
-                    alive = True
-            cells[r][b] = row
-        if not alive:
-            return None
+    # through x holds x's label bit[x], which is what keeps e out of its own
+    # sides; at[0][0][x] is the one-vertex tree x, so level 1 is each edge
+    # whose ends differ in label. Vertex 0 has no label: bit[0] = 0.
 
-    full = (1 << (k + 1)) - 1
-    top = cells[half][half]
-    anchor = next((e for e in range(m) if top[e] >> full & 1), None)
-    if anchor is None:
-        return None
-    out = []
-    stack = [(anchor, half, half, full)]
-    while stack:
-        e, r, b, L = stack.pop()
+    def step(at, r, b):
+        row = [0] * G.m
+        for edges, rc, bc in ((reds, r - 1, b), (blues, r, b - 1)):
+            if rc < 0 or bc < 0:
+                continue
+            extend = at[rc][bc]
+            splits = [(at[r1][b1], at[r2][b2]) for (r1, b1), (r2, b2) in count_splits(rc, bc)]
+            for e in edges:
+                u, v = ends[e]
+                # u or v a pendant leaf, then a u-side and a v-side subtree
+                cell = (extend[v] & lacks[u]) << bit[u] | (extend[u] & lacks[v]) << bit[v]
+                for n1, n2 in splits:
+                    a1, a2 = n1[u], n2[v]
+                    if a1 and a2:
+                        cell |= _join(a1, a2, disjoint, keep)
+                row[e] = cell
+        return row
+
+    def children(cells, at, out, e, r, b, L):
         out.append(e)
         if r + b == 1:
-            continue
-        rc, bc = (r - 1, b) if red[e] else (r, b - 1)
+            return ()
+        rc, bc = (r - 1, b) if G.edges[e][2] is EdgeColor.RED else (r, b - 1)
         u, v = ends[e]
-        bu, bv = 1 << lab[u], 1 << lab[v]
-        if at[rc][bc][v] >> (L ^ bu) & 1:
-            stack.append((_holder(cells[rc][bc], G, (v,), L ^ bu), rc, bc, L ^ bu))
-            continue
-        if at[rc][bc][u] >> (L ^ bv) & 1:
-            stack.append((_holder(cells[rc][bc], G, (u,), L ^ bv), rc, bc, L ^ bv))
-            continue
-        rest = L ^ bu ^ bv
-        for (r1, b1), (r2, b2) in count_splits(rc, bc):
-            n1, n2 = at[r1][b1][u], at[r2][b2][v]
-            s = next((s for s in _submasks(rest) if n1 >> (s | bu) & 1
-                      and n2 >> (rest ^ s | bv) & 1), None)
-            if s is not None:
-                L1, L2 = s | bu, rest ^ s | bv
-                stack.append((_holder(cells[r1][b1], G, (u,), L1), r1, b1, L1))
-                stack.append((_holder(cells[r2][b2], G, (v,), L2), r2, b2, L2))
-                break
-    return Witness(WitnessKind.TREE, tuple(sorted(out)))
+        for leaf, x in ((u, v), (v, u)):
+            if at[rc][bc][x] >> (L ^ bit[leaf]) & 1:
+                return (_child(G, cells, (x,), rc, bc, L ^ bit[leaf]),)
+        return _split(G, cells, at, rc, bc, L ^ bit[u] ^ bit[v], (u, (u,), bit[u]),
+                      (v, (v,), bit[v]))
+
+    return _frame(WitnessKind.TREE, k, k + 1, [1 << s for s in bit],
+                  lambda row: _vertex_unions(G.n, ends, row), step, children)
 
 
 def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
     """[k+1]-vertex-colorful balanced path with k edges, if any."""
-    require_even_k(k)
-    _check_tau(G, tau, k)
-    keep = _keep_masks(k + 1)
-    half = k // 2
+    keep, _ = _masks_for(tau, k, G.n + 1)
     n = G.n
-    lab = [l - 1 for l in tau.labels]
+    bit = [1 << l >> 1 for l in tau.labels]
+    lacks = [keep[l - 1] for l in tau.labels]
     reds = [[] for _ in range(n + 1)]
     blues = [[] for _ in range(n + 1)]
     for u, v, c in G.edges:
         side = reds if c is EdgeColor.RED else blues
         side[u].append(v)
         side[v].append(u)
-    # cells[r][b][v]: vertex label sets of colorful paths ending at v
-    cells = [[None] * (half + 1) for _ in range(half + 1)]
-    cells[0][0] = [0] + [1 << (1 << c) for c in lab[1:]]
-    for j in range(1, k + 1):
-        alive = False
-        for r, b in count_level(j, half):
-            from_red = cells[r - 1][b] if r else None
-            from_blue = cells[r][b - 1] if b else None
-            row = [0] * (n + 1)
-            for v in range(1, n + 1):
-                acc = 0
-                if from_red is not None:
-                    for u in reds[v]:
-                        acc |= from_red[u]
-                if from_blue is not None:
-                    for u in blues[v]:
-                        acc |= from_blue[u]
-                if acc:
-                    c = lab[v]
-                    acc = (acc & keep[c]) << (1 << c)
-                    if acc:
-                        row[v] = acc
-                        alive = True
-            cells[r][b] = row
-        if not alive:
-            return None
+    # cells[r][b][v]: vertex label sets of colorful paths ending at v; cells[0][0][v]
+    # is the one-vertex path v
 
-    full = (1 << (k + 1)) - 1
-    top = cells[half][half]
-    v = next((v for v in range(1, n + 1) if top[v] >> full & 1), None)
-    if v is None:
-        return None
+    def step(cells, r, b):
+        from_red = cells[r - 1][b] if r else None
+        from_blue = cells[r][b - 1] if b else None
+        row = [0] * (n + 1)
+        for v in range(1, n + 1):
+            acc = 0
+            if from_red is not None:
+                for u in reds[v]:
+                    acc |= from_red[u]
+            if from_blue is not None:
+                for u in blues[v]:
+                    acc |= from_blue[u]
+            if acc:
+                row[v] = (acc & lacks[v]) << bit[v]
+        return row
+
     # step back through the first neighbour, in adjacency order, holding the rest
-    out = []
-    r, b, L = half, half, full
-    while r + b:
-        L ^= 1 << lab[v]
+    def children(cells, _, out, v, r, b, L):
+        if not r + b:
+            return ()
+        L ^= bit[v]
         for u, e in G.adjacency[v]:
             rc, bc = (r - 1, b) if G.edges[e][2] is EdgeColor.RED else (r, b - 1)
             if rc >= 0 and bc >= 0 and cells[rc][bc][u] >> L & 1:
                 out.append(e)
-                v, r, b = u, rc, bc
-                break
-    return Witness(WitnessKind.PATH, tuple(sorted(out)))
+                return ((u, rc, bc, L),)
+
+    return _frame(WitnessKind.PATH, k, k + 1, [1 << s for s in bit], None, step, children)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +355,18 @@ _FALLBACK_DELTA = 1e-3
 _FALLBACK_SEED = _FAMILY_SEED
 
 
+def _draw_labels(rng: random.Random, labels: int, size: int) -> tuple:
+    """size draws of rng.randrange(1, labels + 1), as that takes them from rng
+    (getrandbits of labels' bit length until one falls below labels), at a
+    quarter of the cost."""
+    bits, draw, out = labels.bit_length(), rng.getrandbits, []
+    while len(out) < size:
+        r = draw(bits)
+        if r < labels:
+            out.append(r + 1)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def greedy_hash_family(universe_size: int, k: int) -> tuple:
     """Colorings of [universe_size] with [k] labels rainbowing every k-subset.
@@ -387,23 +374,23 @@ def greedy_hash_family(universe_size: int, k: int) -> tuple:
     Greedy set cover over the explicit k-subsets; deterministic. Test-scale
     only: universe_size <= 20, k <= 6.
     """
-    m, kk = universe_size, k
-    if m > _FAMILY_MAX_UNIVERSE or kk > _FAMILY_MAX_LABELS:
+    m = universe_size
+    if m > _FAMILY_MAX_UNIVERSE or k > _FAMILY_MAX_LABELS:
         raise ValueError("greedy_hash_family scale limit exceeded (m <= 20, k <= 6)")
-    if kk < 1 or m < kk:
+    if k < 1 or m < k:
         raise ValueError("need 1 <= k <= universe_size")
-    subsets = [frozenset(c) for c in combinations(range(m), kk)]
+    subsets = [frozenset(c) for c in combinations(range(m), k)]
     uncovered = set(range(len(subsets)))
-    rng = random.Random(_FAMILY_SEED + 1000003 * m + kk)
+    rng = random.Random(_FAMILY_SEED + 1000003 * m + k)
     family = []
 
     def coverage(sig):
-        return [i for i in uncovered if len({sig[x] for x in subsets[i]}) == kk]
+        return [i for i in uncovered if len({sig[x] for x in subsets[i]}) == k]
 
-    first = tuple((i % kk) + 1 for i in range(m))
+    first = tuple((i % k) + 1 for i in range(m))
     while uncovered:
         pool = [first] if not family else []
-        pool.extend(tuple(rng.randrange(1, kk + 1) for _ in range(m)) for _ in range(_FAMILY_POOL))
+        pool.extend(_draw_labels(rng, k, m) for _ in range(_FAMILY_POOL))
         best, best_cov = None, []
         for sig in pool:
             cov = coverage(sig)
@@ -430,7 +417,7 @@ def coloring_universe(G: RedBlueGraph, k: int, kind: WitnessKind) -> tuple:
 def random_labels(rng: random.Random, G: RedBlueGraph, k: int, kind: WitnessKind) -> tuple:
     """A uniformly random label tuple over kind's coloring universe."""
     size, labels = coloring_universe(G, k, kind)
-    return tuple(rng.randrange(1, labels + 1) for _ in range(size))
+    return _draw_labels(rng, labels, size)
 
 
 def colorful_dp(G: RedBlueGraph, k: int, kind: WitnessKind, labels: tuple) -> Optional[Witness]:

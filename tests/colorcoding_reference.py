@@ -6,7 +6,7 @@ same decisions, same `stats["entries"]`, and for paths the same witness.
 """
 from typing import Optional
 
-from bcslab.colorcoding import EdgeColoring, VertexColoring, _check_sigma, _check_tau
+from bcslab.colorcoding import EdgeColoring, VertexColoring
 from bcslab.graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, require_even_k
 
 
@@ -26,7 +26,8 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
                     stats: Optional[dict] = None) -> Optional[Witness]:
     """[k]-edge-colorful balanced connected subgraph of size k, if any."""
     require_even_k(k)
-    _check_sigma(G, sigma, k)
+    if sigma.k != k or len(sigma.labels) != G.m:
+        raise ValueError("edge coloring does not match (G, k)")
     if k > 62:
         raise ValueError("k too large for bitmask labels")
     half = k // 2
@@ -116,7 +117,8 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
 def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
     """[k+1]-vertex-colorful balanced tree with k edges, if any."""
     require_even_k(k)
-    _check_tau(G, tau, k)
+    if tau.k != k or len(tau.labels) != G.n + 1:
+        raise ValueError("vertex coloring does not match (G, k)")
     if k + 1 > 62:
         raise ValueError("k too large for bitmask labels")
     half = k // 2
@@ -224,7 +226,8 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
 def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
     """[k+1]-vertex-colorful balanced path with k edges, if any."""
     require_even_k(k)
-    _check_tau(G, tau, k)
+    if tau.k != k or len(tau.labels) != G.n + 1:
+        raise ValueError("vertex coloring does not match (G, k)")
     if k + 1 > 62:
         raise ValueError("k too large for bitmask labels")
     half = k // 2

@@ -179,6 +179,19 @@ def test_label_cap():
     assert colorful_ebp_dp(g, VertexColoring(18, (0, 1, 2, 3)), 18) is None
 
 
+@pytest.mark.parametrize("labels,size", [(1, 5), (2, 9), (3, 12), (5, 20), (7, 12), (8, 10),
+                                         (9, 30), (20, 4)])
+def test_draw_labels_is_randrange_stream(labels, size):
+    # the same labels as randrange draws, and the generator left in the same state
+    from bcslab.colorcoding import _draw_labels
+
+    for seed in range(200):
+        a, b = random.Random(seed), random.Random(seed)
+        assert _draw_labels(a, labels, size) == tuple(b.randrange(1, labels + 1)
+                                                      for _ in range(size))
+        assert a.getstate() == b.getstate()
+
+
 def test_greedy_family_identity_case():
     fam = greedy_hash_family(3, 3)
     assert len(fam) == 1 and sorted(fam[0]) == [1, 2, 3]
