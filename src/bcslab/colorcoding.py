@@ -223,10 +223,10 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
         for edges, rc, bc in ((reds, r - 1, b), (blues, r, b - 1)):
             if rc < 0 or bc < 0:
                 continue
-            extend = near[rc][bc]
+            extend, parts = near[rc][bc], count_splits(rc, bc)
             # the join is symmetric: each unordered split once
             splits = [(near[r1][b1], near[r2][b2])
-                      for (r1, b1), (r2, b2) in count_splits(rc, bc) if (r1, b1) <= (r2, b2)]
+                      for (r1, b1), (r2, b2) in parts if (r1, b1) <= (r2, b2)] if parts else ()
             for e in edges:
                 cell = extend[e]
                 for n1, n2 in splits:
@@ -267,8 +267,8 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
         for edges, rc, bc in ((reds, r - 1, b), (blues, r, b - 1)):
             if rc < 0 or bc < 0:
                 continue
-            extend = at[rc][bc]
-            splits = [(at[r1][b1], at[r2][b2]) for (r1, b1), (r2, b2) in count_splits(rc, bc)]
+            extend, parts = at[rc][bc], count_splits(rc, bc)
+            splits = [(at[r1][b1], at[r2][b2]) for (r1, b1), (r2, b2) in parts] if parts else ()
             for e in edges:
                 u, v = ends[e]
                 # u or v a pendant leaf, then a u-side and a v-side subtree

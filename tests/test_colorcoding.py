@@ -404,7 +404,8 @@ def _dp_witness_digest():
     return h.hexdigest(), hits
 
 
-# computed on the per-DP level loops, before they shared one frame
+# the three DPs' witnesses and the subgraph entries on this corpus; a change here
+# changes which witness a coloring yields
 DP_WITNESS_GOLDEN = ("50540bbe6d61edef1d967f0cf59ecd5cf7468a41bf38f8d466ffe02fcb38ab33",
                      [529, 279, 276])
 
