@@ -81,15 +81,18 @@ def _keep_masks(labels: int) -> tuple:
     return tuple(keep)
 
 
-def _masks_for(coloring, k: int, size: int) -> tuple:
-    """(keep, disjoint) for coloring's labels, once k is even and coloring is
-    k labels on G's m edges (size = m) or k + 1 on its vertices (size = n + 1):
-    the keep masks, and a fresh _disjoint_from memo."""
+def _label_masks(coloring, k: int, size: int) -> tuple:
+    """(keep, disjoint, bit, lacks), once k is even and coloring is k labels on
+    G's m edges (size = m) or k + 1 on its vertices (size = n + 1): the keep
+    masks, a fresh _disjoint_from memo, and per element its label's bit (0 for
+    the unlabelled vertex 0) and the keep mask of the sets that lack it."""
     require_even_k(k)
     if coloring.k != k or len(coloring.labels) != size:
         raise ValueError(f"{type(coloring).__name__} does not match (G, k)")
     labels = k if type(coloring) is EdgeColoring else k + 1
-    return _keep_masks(labels), {0: (1 << (1 << labels)) - 1}
+    keep = _keep_masks(labels)
+    return (keep, {0: (1 << (1 << labels)) - 1}, [1 << l >> 1 for l in coloring.labels],
+            [keep[l - 1] for l in coloring.labels])
 
 
 def _disjoint_from(L: int, disjoint: dict, keep: tuple) -> int:
@@ -204,11 +207,8 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
     stats["entries"], when given, counts the (anchor, r, b, label set)
     entries the table reached.
     """
-    keep, disjoint = _masks_for(sigma, k, G.m)
-    ends = [(u, v) for u, v, _ in G.edges]
-    reds, blues = G.red_edges(), G.blue_edges()
-    bit = [1 << (l - 1) for l in sigma.labels]
-    lacks = [keep[l - 1] for l in sigma.labels]
+    keep, disjoint, bit, lacks = _label_masks(sigma, k, G.m)
+    ends, reds, blues, _, _ = G._color_lists
     # cells[r][b][e]: label sets of connected subgraphs with r red and b blue
     # edges that contain e. near[r][b][e]: those that contain an edge at an
     # end of e and lack e's label (a set holding e itself has e's label);
@@ -251,16 +251,13 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
 
 def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
     """[k+1]-vertex-colorful balanced tree with k edges, if any."""
-    keep, disjoint = _masks_for(tau, k, G.n + 1)
-    ends = [(u, v) for u, v, _ in G.edges]
-    reds, blues = G.red_edges(), G.blue_edges()
-    bit = [1 << l >> 1 for l in tau.labels]
-    lacks = [keep[l - 1] for l in tau.labels]
+    keep, disjoint, bit, lacks = _label_masks(tau, k, G.n + 1)
+    ends, reds, blues, _, _ = G._color_lists
     # cells[r][b][e]: vertex label sets of colorful trees with r red and b blue
     # edges that contain e; at[r][b][x]: the union over the edges at x. A tree
     # through x holds x's label bit[x], which is what keeps e out of its own
     # sides; at[0][0][x] is the one-vertex tree x, so level 1 is each edge
-    # whose ends differ in label. Vertex 0 has no label: bit[0] = 0.
+    # whose ends differ in label.
 
     def step(at, r, b):
         row = [0] * G.m
@@ -298,16 +295,9 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
 
 def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
     """[k+1]-vertex-colorful balanced path with k edges, if any."""
-    keep, _ = _masks_for(tau, k, G.n + 1)
+    _, _, bit, lacks = _label_masks(tau, k, G.n + 1)
     n = G.n
-    bit = [1 << l >> 1 for l in tau.labels]
-    lacks = [keep[l - 1] for l in tau.labels]
-    reds = [[] for _ in range(n + 1)]
-    blues = [[] for _ in range(n + 1)]
-    for u, v, c in G.edges:
-        side = reds if c is EdgeColor.RED else blues
-        side[u].append(v)
-        side[v].append(u)
+    _, _, _, reds, blues = G._color_lists
     # cells[r][b][v]: vertex label sets of colorful paths ending at v; cells[0][0][v]
     # is the one-vertex path v
 

@@ -99,6 +99,20 @@ class RedBlueGraph:
                     comp[v] = u
         return comp
 
+    @cached_property
+    def _color_lists(self) -> tuple:
+        """(ends, reds, blues, red_nbrs, blue_nbrs): each edge's (u, v), the red
+        and the blue edge indices, and each vertex's red and blue neighbours
+        (index 0 unused). Computed on first use."""
+        ends = [(u, v) for u, v, _ in self.edges]
+        lists = [], [], [[] for _ in range(self.n + 1)], [[] for _ in range(self.n + 1)]
+        for i, (u, v, c) in enumerate(self.edges):
+            blue = c is EdgeColor.BLUE
+            lists[blue].append(i)
+            lists[2 + blue][u].append(v)
+            lists[2 + blue][v].append(u)
+        return (ends, *lists)
+
     @property
     def m(self) -> int:
         return len(self.edges)
