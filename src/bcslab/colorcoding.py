@@ -21,6 +21,15 @@ loop with its early exit, the search for a top anchor whose (k/2, k/2) cell
 holds every label, and the witness walk. A DP only gives its level-0 cells,
 the step that makes a row of the next level from the one below, and the walk
 step that splits a popped cell into its children.
+
+The path DP also decides a batch of colorings in one pass (`_ebp_lanes`): a
+cell holds one lane of 2^(k+1) bits per coloring, and since the path
+recurrence has no disjoint-union join, no step moves a bit from one lane to
+another. The drivers run their path colorings in batches that double from
+one coloring up to _LANE_BYTES per cell, in the order they draw them; the
+lowest hitting lane of the first batch with a hit is the first coloring with
+a witness, and one ordinary call on it gives that witness. Tree and subgraph
+colorings run one at a time, since their joins walk each cell's own label sets.
 """
 from __future__ import annotations
 
@@ -28,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 from .graphs import (EdgeColor, RedBlueGraph, Witness, WitnessKind, count_level, count_splits,
@@ -59,7 +68,24 @@ class VertexColoring:
             raise ValueError("vertex labels must lie in 1..k+1")
 
 
+@dataclass(frozen=True)
+class VertexColorings:
+    """A batch of vertex colorings: rows[c][v - 1] is vertex v's label in [k+1]
+    under coloring c. Checks each row with one min and one max."""
+
+    k: int
+    rows: tuple
+
+    def __post_init__(self):
+        if not self.rows:
+            raise ValueError("a batch holds at least one coloring")
+        if any(row and (min(row) < 1 or max(row) > self.k + 1) for row in self.rows):
+            raise ValueError("vertex labels must lie in 1..k+1")
+
+
 MAX_LABELS = 20
+# _LANE_OF[l]: a bytes.translate table that maps byte l to 1 and every other byte to 0
+_LANE_OF = tuple(bytes(int(i == l) for i in range(256)) for l in range(MAX_LABELS + 1))
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +234,7 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
     entries the table reached.
     """
     keep, disjoint, bit, lacks = _label_masks(sigma, k, G.m)
-    ends, reds, blues, _, _ = G._color_lists
+    ends, reds, blues = G._edge_lists
     # cells[r][b][e]: label sets of connected subgraphs with r red and b blue
     # edges that contain e. near[r][b][e]: those that contain an edge at an
     # end of e and lack e's label (a set holding e itself has e's label);
@@ -252,7 +278,7 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
 def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
     """[k+1]-vertex-colorful balanced tree with k edges, if any."""
     keep, disjoint, bit, lacks = _label_masks(tau, k, G.n + 1)
-    ends, reds, blues, _, _ = G._color_lists
+    ends, reds, blues = G._edge_lists
     # cells[r][b][e]: vertex label sets of colorful trees with r red and b blue
     # edges that contain e; at[r][b][x]: the union over the edges at x. A tree
     # through x holds x's label bit[x], which is what keeps e out of its own
@@ -293,11 +319,20 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
                   lambda row: _vertex_unions(G.n, ends, row), step, children)
 
 
-def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
-    """[k+1]-vertex-colorful balanced path with k edges, if any."""
+def colorful_ebp_dp(G: RedBlueGraph, tau, k: int, stats: Optional[dict] = None):
+    """[k+1]-vertex-colorful balanced path with k edges, if any.
+
+    tau is one VertexColoring, and the answer its witness or None; or a
+    VertexColorings batch, and the answer the index of its first coloring
+    that has such a path, or None (see _ebp_lanes). stats["entries"] (one
+    coloring) or stats["cell_bytes"] (a batch), when given, counts the
+    table's (anchor, r, b, label set) entries or the widest cell's bytes.
+    """
+    if type(tau) is VertexColorings:
+        return _ebp_lanes(G, tau, k, stats)
     _, _, bit, lacks = _label_masks(tau, k, G.n + 1)
     n = G.n
-    _, _, _, reds, blues = G._color_lists
+    reds, blues = G._neighbor_lists
     # cells[r][b][v]: vertex label sets of colorful paths ending at v; cells[0][0][v]
     # is the one-vertex path v
 
@@ -328,7 +363,81 @@ def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wi
                 out.append(e)
                 return ((u, rc, bc, L),)
 
-    return _frame(WitnessKind.PATH, k, k + 1, [1 << s for s in bit], None, step, children)
+    return _frame(WitnessKind.PATH, k, k + 1, [1 << s for s in bit], None, step, children,
+                  stats)
+
+
+def _ebp_lanes(G: RedBlueGraph, taus: VertexColorings, k: int,
+               stats: Optional[dict] = None) -> Optional[int]:
+    """The index of the first coloring of taus under which G has a colorful
+    balanced path with k edges, or None.
+
+    The path DP of colorful_ebp_dp over every coloring at once. A cell holds
+    one lane of W = 2^(k+1) bits per coloring, lane c at bits c*W..c*W + W - 1,
+    and lane c is coloring c's cell. Nothing in the path recurrence moves a bit
+    between lanes: the OR over a vertex's neighbours is lane-wise, and adding
+    v's label is one masked shift (acc & M[v][l]) << 2^(l-1) per label l that
+    v carries in the batch, where M[v][l] holds keep[l-1] in exactly the lanes
+    whose coloring gives v label l. A level reads only the one below, so two
+    levels are live.
+    """
+    require_even_k(k)
+    rows = taus.rows
+    if taus.k != k or set(map(len, rows)) != {G.n}:
+        raise ValueError("VertexColorings does not match (G, k)")
+    labels = k + 1
+    keep = _keep_masks(labels)
+    stride = 1 << labels >> 3  # bytes per lane
+    column = bytearray(stride * len(rows))
+    # base[v]: the one-vertex path v in every lane; shifts[v]: v's (M[v][l], 2^(l-1))
+    base, shifts = [0], [()]
+    for col in zip(*rows):
+        column[::stride] = bytes(col)
+        cell, pairs = 0, []
+        for l in set(col):
+            at, bit = int.from_bytes(column.translate(_LANE_OF[l]), "little"), 1 << l >> 1
+            cell |= at << bit
+            pairs.append((at * keep[l - 1], bit))
+        base.append(cell)
+        shifts.append(pairs)
+    n, half = G.n, k // 2
+    reds, blues = G._neighbor_lists
+    widest = max(base).bit_length() if stats is not None else 0
+    level = {(0, 0): base}
+    for j in range(1, k + 1):
+        below, level, alive = level, {}, False
+        for r, b in count_level(j, half):
+            from_red, from_blue = below.get((r - 1, b)), below.get((r, b - 1))
+            row = [0] * (n + 1)
+            for v in range(1, n + 1):
+                acc = 0
+                if from_red is not None:
+                    for u in reds[v]:
+                        acc |= from_red[u]
+                if from_blue is not None:
+                    for u in blues[v]:
+                        acc |= from_blue[u]
+                if acc:
+                    out = 0
+                    for mask, bit in shifts[v]:
+                        out |= (acc & mask) << bit
+                    row[v] = out
+            level[r, b] = row
+            alive = alive or any(row)
+            if stats is not None:
+                widest = max(widest, max(row).bit_length())
+        if not alive:
+            break
+    if stats is not None:
+        stats["cell_bytes"] = (widest + 7) >> 3
+    if not alive:
+        return None
+    # the full label set is each lane's top bit
+    hit = 0
+    for cell in level[half, half]:
+        hit |= cell
+    hit &= int.from_bytes((bytes(stride - 1) + b"\x80") * len(rows), "little")
+    return ((hit & -hit).bit_length() - 1) >> labels if hit else None
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +452,9 @@ _FAMILY_MAX_LABELS = 6
 # failure probability and seed
 _FALLBACK_DELTA = 1e-3
 _FALLBACK_SEED = _FAMILY_SEED
+# a batch of path colorings holds at most this many bytes in one cell: 256
+# colorings at k = 6, 64 at k = 8, one from k = 14 up
+_LANE_BYTES = 4096
 
 
 def _draw_labels(rng: random.Random, labels: int, size: int) -> tuple:
@@ -423,10 +535,39 @@ def colorful_dp(G: RedBlueGraph, k: int, kind: WitnessKind, labels: tuple) -> Op
     return colorful_ebp_dp(G, tau, k)
 
 
+def _first_witness(G: RedBlueGraph, k: int, kind: WitnessKind, count: int,
+                   draw) -> Optional[Witness]:
+    """The witness of the first of `count` colorings, taken in order from
+    draw(c), which returns the next c label tuples, under which kind's colorful
+    DP finds one, or None.
+
+    Path colorings run in batches through colorful_ebp_dp: one coloring, then
+    twice as many each time, up to as many lanes as fit _LANE_BYTES in a cell.
+    A one-coloring batch is an ordinary call, so a hit on the first coloring
+    costs what one call costs. The first batch with a hit passes its first
+    hitting coloring to an ordinary call, which gives the witness. Trees and
+    subgraphs run one coloring at a time: their split joins walk each cell's
+    own label sets, which differ from lane to lane.
+    """
+    lanes = 1
+    cap = max(1, _LANE_BYTES << 3 >> (k + 1)) if kind is WitnessKind.PATH else 1
+    while count > 0:
+        rows = draw(min(lanes, count))
+        count -= len(rows)
+        hit = 0 if len(rows) == 1 else colorful_ebp_dp(G, VertexColorings(k, rows), k)
+        if hit is not None:
+            w = colorful_dp(G, k, kind, rows[hit])
+            if w is not None:
+                return w
+        lanes = min(2 * lanes, cap)
+    return None
+
+
 def _feasible(G: RedBlueGraph, k: int, kind: WitnessKind) -> bool:
     """Cheap exact necessary conditions; False means the instance is a No."""
     half = k // 2
-    if G.m < k or len(G.red_edges()) < half or len(G.blue_edges()) < half:
+    _, reds, blues = G._edge_lists
+    if G.m < k or len(reds) < half or len(blues) < half:
         return False
     if kind in (WitnessKind.TREE, WitnessKind.PATH) and G.n < k + 1:
         return False
@@ -445,6 +586,10 @@ def _feasible(G: RedBlueGraph, k: int, kind: WitnessKind) -> bool:
 def family_driver(G: RedBlueGraph, k: int, kind: WitnessKind) -> Optional[Witness]:
     """Run the colorful DP over the greedy hash family; exact at family scale.
 
+    Path colorings run in batches of lanes (_first_witness); the witness is
+    the one the first family coloring with a hit gives, as one coloring at a
+    time would find it.
+
     Past greedy_hash_family's scale (more than 20 edges for subgraphs or
     vertices for trees and paths, or more than 6 labels) it returns
     random_coloring_driver(G, k, kind, _FALLBACK_DELTA, _FALLBACK_SEED)
@@ -457,11 +602,9 @@ def family_driver(G: RedBlueGraph, k: int, kind: WitnessKind) -> Optional[Witnes
     universe, labels = coloring_universe(G, k, kind)
     if universe > _FAMILY_MAX_UNIVERSE or labels > _FAMILY_MAX_LABELS:
         return random_coloring_driver(G, k, kind, _FALLBACK_DELTA, _FALLBACK_SEED)
-    for sig in greedy_hash_family(universe, labels):
-        w = colorful_dp(G, k, kind, sig)
-        if w is not None:
-            return w
-    return None
+    family = greedy_hash_family(universe, labels)
+    colorings = iter(family)
+    return _first_witness(G, k, kind, len(family), lambda c: tuple(islice(colorings, c)))
 
 
 def random_coloring_driver(
@@ -474,7 +617,9 @@ def random_coloring_driver(
     """Monte Carlo driver: ceil(e^k ln(1/delta)) random colorings through the DP.
 
     One-sided: a returned witness is always valid; when a size-k solution
-    exists, absence is reported with probability <= delta.
+    exists, absence is reported with probability <= delta. Path colorings
+    run in batches of lanes (_first_witness), drawn from the rng in the same
+    order as one at a time, so the answer is the same.
     """
     require_even_k(k)
     if not (0.0 < failure_prob < 1.0):
@@ -483,8 +628,6 @@ def random_coloring_driver(
         return None
     trials = math.ceil(math.exp(k) * math.log(1.0 / failure_prob))
     rng = random.Random(seed)
-    for _ in range(trials):
-        w = colorful_dp(G, k, kind, random_labels(rng, G, k, kind))
-        if w is not None:
-            return w
-    return None
+    size, labels = coloring_universe(G, k, kind)
+    return _first_witness(G, k, kind, trials, lambda c: tuple(_draw_labels(rng, labels, size)
+                                                              for _ in range(c)))

@@ -100,18 +100,25 @@ class RedBlueGraph:
         return comp
 
     @cached_property
-    def _color_lists(self) -> tuple:
-        """(ends, reds, blues, red_nbrs, blue_nbrs): each edge's (u, v), the red
-        and the blue edge indices, and each vertex's red and blue neighbours
-        (index 0 unused). Computed on first use."""
+    def _edge_lists(self) -> tuple:
+        """(ends, reds, blues): each edge's (u, v), and the red and the blue edge
+        indices. Computed on first use."""
         ends = [(u, v) for u, v, _ in self.edges]
-        lists = [], [], [[] for _ in range(self.n + 1)], [[] for _ in range(self.n + 1)]
-        for i, (u, v, c) in enumerate(self.edges):
-            blue = c is EdgeColor.BLUE
-            lists[blue].append(i)
-            lists[2 + blue][u].append(v)
-            lists[2 + blue][v].append(u)
+        lists = [], []
+        for i, (_, _, c) in enumerate(self.edges):
+            lists[c is EdgeColor.BLUE].append(i)
         return (ends, *lists)
+
+    @cached_property
+    def _neighbor_lists(self) -> tuple:
+        """(red_nbrs, blue_nbrs): each vertex's red and blue neighbours (index 0
+        unused). Computed on first use."""
+        lists = [[] for _ in range(self.n + 1)], [[] for _ in range(self.n + 1)]
+        for u, v, c in self.edges:
+            nbrs = lists[c is EdgeColor.BLUE]
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return lists
 
     @property
     def m(self) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from itertools import combinations
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 import colorcoding_reference as ref
 from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph, validate_witness
 from bcslab.oracle import all_witness_sets, oracle_solve
+from bcslab import colorcoding
 from bcslab.colorcoding import (
     EdgeColoring,
     VertexColoring,
+    VertexColorings,
     colorful_bcs_dp,
     colorful_bt_dp,
     colorful_ebp_dp,
@@ -190,6 +193,116 @@ def test_draw_labels_is_randrange_stream(labels, size):
         assert _draw_labels(a, labels, size) == tuple(b.randrange(1, labels + 1)
                                                       for _ in range(size))
         assert a.getstate() == b.getstate()
+
+
+def test_lane_batch_checks_every_row():
+    g = path_graph([R, B, R])
+    good = (1, 2, 3, 1)
+    for bad in (0, 4, -1):
+        for at in range(3):
+            rows = [good, good, good]
+            rows[at] = (1, bad, 2, 3)
+            with pytest.raises(ValueError, match="vertex labels must lie in 1..k\\+1"):
+                colorful_ebp_dp(g, VertexColorings(2, tuple(rows)), 2)
+    with pytest.raises(ValueError, match="at least one"):
+        VertexColorings(2, ())
+    with pytest.raises(ValueError, match="does not match"):
+        colorful_ebp_dp(g, VertexColorings(2, (good, (1, 2, 3))), 2)
+    with pytest.raises(ValueError, match="does not match"):
+        colorful_ebp_dp(g, VertexColorings(4, (good,)), 2)
+    assert colorful_ebp_dp(g, VertexColorings(2, ((1, 1, 2, 2), good, good)), 2) == 1
+
+
+def _record_path_calls(monkeypatch):
+    """Rebind colorful_ebp_dp to record each call: ("batch", lanes, first hit)
+    or ("one", labels, witness); a batch's widest cell must fit the byte cap."""
+    dp, calls = colorful_ebp_dp, []
+
+    def recorder(G, tau, k):
+        if type(tau) is VertexColorings:
+            stats = {}
+            hit = dp(G, tau, k, stats)
+            assert stats["cell_bytes"] <= colorcoding._LANE_BYTES
+            assert len(tau.rows) <= max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
+            calls.append(("batch", len(tau.rows), hit))
+            return hit
+        w = dp(G, tau, k)
+        calls.append(("one", tau.labels[1:], w))
+        return w
+
+    monkeypatch.setattr(colorcoding, "colorful_ebp_dp", recorder)
+    return calls
+
+
+def _first_hit(G, k, colorings):
+    """(index, labels, witness) of the first coloring one call at a time finds, or None."""
+    for i, labels in enumerate(colorings):
+        w = colorful_ebp_dp(G, VertexColoring(k, (0,) + labels), k)
+        if w is not None:
+            return i, labels, w
+    return None
+
+
+def _check_driver(calls, got, expect, count, k):
+    """A driver's recorded calls and answer against one coloring at a time:
+    batches of 1, 2, 4, ... colorings up to the cap, the same witness, and
+    the first hitting coloring as the last call. True when that coloring
+    was not the first."""
+    cap = max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
+    schedule, lanes = [], 1
+    while count > 0:
+        schedule.append(min(lanes, count))
+        count -= schedule[-1]
+        lanes = min(2 * lanes, cap)
+    sizes = [1 if kind == "one" else size for kind, size, _ in calls]
+    if expect is None:
+        assert got is None and sizes == schedule
+        assert all(hit is None for _, _, hit in calls)
+        return False
+    i, labels, w = expect
+    assert got == w and calls[-1] == ("one", labels, w)
+    if len(calls) > 1 and calls[-2][0] == "batch" and calls[-2][2] is not None:
+        sizes.pop()  # the witness call on the batch's first hit
+    assert sizes == schedule[:len(sizes)] and sum(sizes) > i >= sum(sizes[:-1])
+    return i > 0
+
+
+def test_path_lanes_match_one_coloring_at_a_time(monkeypatch):
+    # both drivers, their path colorings in batches of lanes, against a loop
+    # of single-coloring calls over the same colorings in the same order
+    rng = random.Random(1301)
+    later = capped = fallbacks = 0
+    for _ in range(150):
+        n = rng.randrange(3, 13)
+        g = random_redblue(n, rng.choice([0.3, 0.45, 0.7]), rng.randrange(10**6))
+        k = rng.choice([2, 4, 6, 8])
+        if not colorcoding._feasible(g, k, WitnessKind.PATH):
+            continue
+        # 1 to a few hundred colorings
+        delta = math.exp(-rng.randrange(1, 400) / math.exp(k))
+        seed = rng.randrange(10**6)
+        runs = [(delta, seed, lambda: random_coloring_driver(g, k, WitnessKind.PATH, delta, seed))]
+        if k <= 4:
+            runs.append((None, None, lambda: family_driver(g, k, WitnessKind.PATH)))
+        elif k == 6 and fallbacks < 8:
+            fallbacks += 1
+            runs.append((colorcoding._FALLBACK_DELTA, colorcoding._FALLBACK_SEED,
+                         lambda: family_driver(g, k, WitnessKind.PATH)))
+        for delta, seed, driver in runs:
+            if delta is None:
+                colorings = colorcoding.greedy_hash_family(n, k + 1)
+            else:
+                draws = random.Random(seed)
+                colorings = [colorcoding._draw_labels(draws, k + 1, n)
+                             for _ in range(math.ceil(math.exp(k) * math.log(1 / delta)))]
+            expect = _first_hit(g, k, colorings)
+            calls = _record_path_calls(monkeypatch)
+            got = driver()
+            monkeypatch.undo()
+            later += _check_driver(calls, got, expect, len(colorings), k)
+            capped += max(1, colorcoding._LANE_BYTES * 8 >> (k + 1)) in [
+                size for kind, size, _ in calls if kind == "batch"]
+    assert later >= 20 and capped >= 5 and fallbacks == 8
 
 
 def test_greedy_family_identity_case():
