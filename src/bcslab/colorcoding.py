@@ -535,11 +535,9 @@ def colorful_dp(G: RedBlueGraph, k: int, kind: WitnessKind, labels: tuple) -> Op
     return colorful_ebp_dp(G, tau, k)
 
 
-def _first_witness(G: RedBlueGraph, k: int, kind: WitnessKind, count: int,
-                   draw) -> Optional[Witness]:
-    """The witness of the first of `count` colorings, taken in order from
-    draw(c), which returns the next c label tuples, under which kind's colorful
-    DP finds one, or None.
+def _first_witness(G: RedBlueGraph, k: int, kind: WitnessKind, colorings) -> Optional[Witness]:
+    """The witness of the first label tuple that the iterator `colorings`
+    yields under which kind's colorful DP finds one, or None.
 
     Path colorings run in batches through colorful_ebp_dp: one coloring, then
     twice as many each time, up to as many lanes as fit _LANE_BYTES in a cell.
@@ -551,9 +549,7 @@ def _first_witness(G: RedBlueGraph, k: int, kind: WitnessKind, count: int,
     """
     lanes = 1
     cap = max(1, _LANE_BYTES << 3 >> (k + 1)) if kind is WitnessKind.PATH else 1
-    while count > 0:
-        rows = draw(min(lanes, count))
-        count -= len(rows)
+    while rows := tuple(islice(colorings, lanes)):
         hit = 0 if len(rows) == 1 else colorful_ebp_dp(G, VertexColorings(k, rows), k)
         if hit is not None:
             w = colorful_dp(G, k, kind, rows[hit])
@@ -602,9 +598,7 @@ def family_driver(G: RedBlueGraph, k: int, kind: WitnessKind) -> Optional[Witnes
     universe, labels = coloring_universe(G, k, kind)
     if universe > _FAMILY_MAX_UNIVERSE or labels > _FAMILY_MAX_LABELS:
         return random_coloring_driver(G, k, kind, _FALLBACK_DELTA, _FALLBACK_SEED)
-    family = greedy_hash_family(universe, labels)
-    colorings = iter(family)
-    return _first_witness(G, k, kind, len(family), lambda c: tuple(islice(colorings, c)))
+    return _first_witness(G, k, kind, iter(greedy_hash_family(universe, labels)))
 
 
 def random_coloring_driver(
@@ -629,5 +623,4 @@ def random_coloring_driver(
     trials = math.ceil(math.exp(k) * math.log(1.0 / failure_prob))
     rng = random.Random(seed)
     size, labels = coloring_universe(G, k, kind)
-    return _first_witness(G, k, kind, trials, lambda c: tuple(_draw_labels(rng, labels, size)
-                                                              for _ in range(c)))
+    return _first_witness(G, k, kind, (_draw_labels(rng, labels, size) for _ in range(trials)))
