@@ -85,7 +85,7 @@ class VertexColorings:
 
 MAX_LABELS = 20
 # _LANE_OF[l]: a bytes.translate table that maps byte l to 1 and every other byte to 0
-_LANE_OF = tuple(bytes(int(i == l) for i in range(256)) for l in range(MAX_LABELS + 1))
+_LANE_OF = tuple(bytes(l) + b"\x01" + bytes(255 - l) for l in range(MAX_LABELS + 1))
 
 
 @lru_cache(maxsize=None)
