@@ -319,7 +319,8 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
                   lambda row: _vertex_unions(G.n, ends, row), step, children)
 
 
-def colorful_ebp_dp(G: RedBlueGraph, tau, k: int, stats: Optional[dict] = None):
+def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: int,
+                    stats: Optional[dict] = None):
     """[k+1]-vertex-colorful balanced path with k edges, if any.
 
     tau is one VertexColoring, and the answer its witness or None; or a
