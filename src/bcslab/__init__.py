@@ -27,7 +27,6 @@ from .splitsolver import NotASplitGraphError, solve_split_ebcs
 from .colorcoding import (
     EdgeColoring,
     VertexColoring,
-    VertexColorings,
     colorful_bcs_dp,
     colorful_bt_dp,
     colorful_ebp_dp,

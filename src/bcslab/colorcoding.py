@@ -319,23 +319,12 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
                   lambda row: _vertex_unions(G.n, ends, row), step, children)
 
 
-def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: int,
-                    stats: Optional[dict] = None):
-    """[k+1]-vertex-colorful balanced path with k edges, if any.
-
-    tau is one VertexColoring, and the answer its witness or None; or a
-    VertexColorings batch, and the answer the index of its first coloring
-    that has such a path, or None (see _ebp_lanes). stats["entries"] (one
-    coloring) or stats["cell_bytes"] (a batch), when given, counts the
-    table's (anchor, r, b, label set) entries or the widest cell's bytes.
-    """
-    if type(tau) is VertexColorings:
-        return _ebp_lanes(G, tau, k, stats)
-    _, _, bit, lacks = _label_masks(tau, k, G.n + 1)
+def _path_step(G: RedBlueGraph, lacks: list, bit: list):
+    """The path DP's level step over cells, one per vertex: row (r, b) holds at
+    v the OR acc of row (r - 1, b) over v's red neighbours and of row (r, b - 1)
+    over its blue ones, with v's label added as (acc & lacks[v]) << bit[v]."""
     n = G.n
     reds, blues = G._neighbor_lists
-    # cells[r][b][v]: vertex label sets of colorful paths ending at v; cells[0][0][v]
-    # is the one-vertex path v
 
     def step(cells, r, b):
         from_red = cells[r - 1][b] if r else None
@@ -353,6 +342,23 @@ def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: i
                 row[v] = (acc & lacks[v]) << bit[v]
         return row
 
+    return step
+
+
+def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: int):
+    """[k+1]-vertex-colorful balanced path with k edges, if any.
+
+    tau is one VertexColoring, and the answer its witness or None; or a
+    VertexColorings batch, and the answer the index of its first coloring
+    that has such a path, or None (see _ebp_lanes).
+    """
+    if type(tau) is VertexColorings:
+        return _ebp_lanes(G, tau, k)
+    _, _, bit, lacks = _label_masks(tau, k, G.n + 1)
+    # cells[r][b][v]: vertex label sets of colorful paths ending at v; cells[0][0][v]
+    # is the one-vertex path v
+    step = _path_step(G, lacks, bit)
+
     # step back through the first neighbour, in adjacency order, holding the rest
     def children(cells, _, out, v, r, b, L):
         if not r + b:
@@ -364,23 +370,22 @@ def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: i
                 out.append(e)
                 return ((u, rc, bc, L),)
 
-    return _frame(WitnessKind.PATH, k, k + 1, [1 << s for s in bit], None, step, children,
-                  stats)
+    return _frame(WitnessKind.PATH, k, k + 1, [1 << s for s in bit], None, step, children)
 
 
-def _ebp_lanes(G: RedBlueGraph, taus: VertexColorings, k: int,
-               stats: Optional[dict] = None) -> Optional[int]:
+def _ebp_lanes(G: RedBlueGraph, taus: VertexColorings, k: int) -> Optional[int]:
     """The index of the first coloring of taus under which G has a colorful
     balanced path with k edges, or None.
 
     The path DP of colorful_ebp_dp over every coloring at once. A cell holds
     one lane of W = 2^(k+1) bits per coloring, lane c at bits c*W..c*W + W - 1,
     and lane c is coloring c's cell. Nothing in the path recurrence moves a bit
-    between lanes: the OR over a vertex's neighbours is lane-wise, and adding
-    v's label is one masked shift (acc & M[v][l]) << 2^(l-1) per label l that
-    v carries in the batch, where M[v][l] holds keep[l-1] in exactly the lanes
-    whose coloring gives v label l. A level reads only the one below, so two
-    levels are live.
+    between lanes: the OR over a vertex's neighbours (_path_step, keeping every
+    bit and shifting none) is lane-wise, and adding v's label is one masked
+    shift (acc & M[v][l]) << 2^(l-1) per label l that v carries in the batch,
+    where M[v][l] holds keep[l-1] in exactly the lanes whose coloring gives v
+    label l. No witness is walked, so unlike _frame the loop keeps only the
+    level it reads and the one it makes, not the whole table of wide cells.
     """
     require_even_k(k)
     rows = taus.rows
@@ -401,41 +406,33 @@ def _ebp_lanes(G: RedBlueGraph, taus: VertexColorings, k: int,
             pairs.append((at * keep[l - 1], bit))
         base.append(cell)
         shifts.append(pairs)
-    n, half = G.n, k // 2
-    reds, blues = G._neighbor_lists
-    widest = max(base).bit_length() if stats is not None else 0
-    level = {(0, 0): base}
+    ors = _path_step(G, [-1] * len(shifts), [0] * len(shifts))
+
+    def step(cells, r, b):
+        row = ors(cells, r, b)
+        for v, acc in enumerate(row):
+            if acc:
+                out = 0
+                for mask, bit in shifts[v]:
+                    out |= (acc & mask) << bit
+                row[v] = out
+        return row
+
+    half = k // 2
+    cells = [[None] * (half + 1) for _ in range(half + 1)]
+    cells[0][0] = base
     for j in range(1, k + 1):
-        below, level, alive = level, {}, False
+        alive = False
         for r, b in count_level(j, half):
-            from_red, from_blue = below.get((r - 1, b)), below.get((r, b - 1))
-            row = [0] * (n + 1)
-            for v in range(1, n + 1):
-                acc = 0
-                if from_red is not None:
-                    for u in reds[v]:
-                        acc |= from_red[u]
-                if from_blue is not None:
-                    for u in blues[v]:
-                        acc |= from_blue[u]
-                if acc:
-                    out = 0
-                    for mask, bit in shifts[v]:
-                        out |= (acc & mask) << bit
-                    row[v] = out
-            level[r, b] = row
+            row = cells[r][b] = step(cells, r, b)
             alive = alive or any(row)
-            if stats is not None:
-                widest = max(widest, max(row).bit_length())
         if not alive:
-            break
-    if stats is not None:
-        stats["cell_bytes"] = (widest + 7) >> 3
-    if not alive:
-        return None
+            return None
+        for r, b in count_level(j - 1, half):
+            cells[r][b] = None
     # the full label set is each lane's top bit
     hit = 0
-    for cell in level[half, half]:
+    for cell in cells[half][half]:
         hit |= cell
     hit &= int.from_bytes((bytes(stride - 1) + b"\x80") * len(rows), "little")
     return ((hit & -hit).bit_length() - 1) >> labels if hit else None
@@ -554,6 +551,8 @@ def _first_witness(G: RedBlueGraph, k: int, kind: WitnessKind, colorings) -> Opt
         hit = 0 if len(rows) == 1 else colorful_ebp_dp(G, VertexColorings(k, rows), k)
         if hit is not None:
             w = colorful_dp(G, k, kind, rows[hit])
+            # a batch's hitting lane is a coloring with a witness
+            assert w is not None or len(rows) == 1, "path lanes disagree with one coloring"
             if w is not None:
                 return w
         lanes = min(2 * lanes, cap)
@@ -623,5 +622,4 @@ def random_coloring_driver(
         return None
     trials = math.ceil(math.exp(k) * math.log(1.0 / failure_prob))
     rng = random.Random(seed)
-    size, labels = coloring_universe(G, k, kind)
-    return _first_witness(G, k, kind, (_draw_labels(rng, labels, size) for _ in range(trials)))
+    return _first_witness(G, k, kind, (random_labels(rng, G, k, kind) for _ in range(trials)))

@@ -215,15 +215,15 @@ def test_lane_batch_checks_every_row():
 
 def _record_path_calls(monkeypatch):
     """Rebind colorful_ebp_dp to record each call: ("batch", lanes, first hit)
-    or ("one", labels, witness); a batch's widest cell must fit the byte cap."""
+    or ("one", labels, witness); a batch's cells, 2^(k+1) bits per lane, must
+    fit the byte cap."""
     dp, calls = colorful_ebp_dp, []
 
     def recorder(G, tau, k):
         if type(tau) is VertexColorings:
-            stats = {}
-            hit = dp(G, tau, k, stats)
-            assert stats["cell_bytes"] <= colorcoding._LANE_BYTES
+            hit = dp(G, tau, k)
             assert len(tau.rows) <= max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
+            assert len(tau.rows) << (k + 1) >> 3 <= colorcoding._LANE_BYTES
             calls.append(("batch", len(tau.rows), hit))
             return hit
         w = dp(G, tau, k)
