@@ -25,7 +25,8 @@ step that splits a popped cell into its children.
 The path DP also decides a batch of colorings in one pass (`_ebp_lanes`): a
 cell holds one lane of 2^(k+1) bits per coloring, and since the path
 recurrence has no disjoint-union join, no step moves a bit from one lane to
-another. The drivers run their path colorings in batches that double from
+another. Both forms take the neighbour ORs from one step, `_path_step`; the
+batch then adds each vertex's labels lane by lane. The drivers run their path colorings in batches that double from
 one coloring up to _LANE_BYTES per cell, in the order they draw them; the
 lowest hitting lane of the first batch with a hit is the first coloring with
 a witness, and one ordinary call on it gives that witness. Tree and subgraph
