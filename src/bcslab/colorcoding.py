@@ -22,15 +22,15 @@ holds every label, and the witness walk. A DP only gives its level-0 cells,
 the step that makes a row of the next level from the one below, and the walk
 step that splits a popped cell into its children.
 
-The path DP also decides a batch of colorings in one pass (`_ebp_lanes`): a
-cell holds one lane of 2^(k+1) bits per coloring, and since the path
-recurrence has no disjoint-union join, no step moves a bit from one lane to
-another. Both forms take the neighbour ORs from one step, `_path_step`; the
-batch then adds each vertex's labels lane by lane. The drivers run their path colorings in batches that double from
-one coloring up to _LANE_BYTES per cell, in the order they draw them; the
-lowest hitting lane of the first batch with a hit is the first coloring with
-a witness, and one ordinary call on it gives that witness. Tree and subgraph
-colorings run one at a time, since their joins walk each cell's own label sets.
+The path DP decides a batch of colorings in one pass, one coloring being the
+one-lane case: a cell holds one lane of 2^(k+1) bits per coloring, and since
+the path recurrence has no disjoint-union join, no step moves a bit from one
+lane to another. The witness is walked in the lowest hitting lane. The
+drivers run their path colorings in batches that double from one coloring
+up to _LANE_BYTES per cell, in the order they draw them, so the first batch
+with a hit gives the first coloring with a witness, and its witness. Tree
+and subgraph colorings run one at a time, since their joins walk each cell's
+own label sets.
 """
 from __future__ import annotations
 
@@ -183,19 +183,21 @@ def _split(G: RedBlueGraph, cells, lower, rc: int, bc: int, rest: int, one, two)
             s = (s - 1) & rest
 
 
-def _frame(kind: WitnessKind, k: int, labels: int, base: list, below, step, children,
-           stats: Optional[dict] = None) -> Optional[Witness]:
+def _frame(kind: WitnessKind, k: int, full: int, base: list, below, step, children,
+           stats: Optional[dict] = None) -> tuple:
     """The table, level loop, top-anchor search and witness walk of a colorful DP.
 
     cells[r][b] is the row of cells, one per anchor, for r red and b blue
     edges. Level j = r + b reads level j - 1 through lower[r][b] =
     below(cells[r][b]) (the rows themselves when below is None), and level
     1 reads lower[0][0] = base: step(lower, r, b) returns row (r, b). A level
-    whose rows are all empty ends the loop, and the DP answers None. Else
-    the witness grows from the first anchor whose (k/2, k/2) cell holds the
-    full set of `labels` labels: children(cells, lower, out, anchor, r, b, L)
-    appends a popped cell's witness edges to out and returns its children,
-    the cells (anchor, r, b, L) whose label sets make up L.
+    whose rows are all empty ends the loop. `full` holds each lane's full-set
+    bit (1 << (2^labels - 1) for one lane); the lowest that a (k/2, k/2) cell
+    holds gives the lane, and the first anchor whose cell holds it starts the
+    walk: children(cells, lower, out, anchor, r, b, L) appends a popped cell's
+    witness edges to out and returns its children, the cells (anchor, r, b, L)
+    whose label sets make up L. The answer is (lane, witness), lane counting
+    the lanes below the hitting one, or (None, None).
     stats["entries"], when given, counts the (anchor, r, b, label set)
     entries of the finished table.
     """
@@ -215,16 +217,19 @@ def _frame(kind: WitnessKind, k: int, labels: int, base: list, below, step, chil
             break
     if stats is not None:
         stats["entries"] = sum(c.bit_count() for rows in cells for row in rows if row for c in row)
-    if not alive:
-        return None
-    full = (1 << labels) - 1
-    anchor = next((a for a, cell in enumerate(cells[half][half]) if cell >> full & 1), None)
-    if anchor is None:
-        return None
-    out, stack = [], [(anchor, half, half, full)]
+    top = 0
+    if alive:
+        for cell in cells[half][half]:
+            top |= cell
+    top &= full
+    if not top:
+        return None, None
+    L = (top & -top).bit_length() - 1
+    anchor = next(a for a, cell in enumerate(cells[half][half]) if cell >> L & 1)
+    out, stack = [], [(anchor, half, half, L)]
     while stack:
         stack.extend(children(cells, lower, out, *stack.pop()))
-    return Witness(kind, tuple(sorted(out)))
+    return (full & (1 << L) - 1).bit_count(), Witness(kind, tuple(sorted(out)))
 
 
 def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
@@ -273,7 +278,8 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
             return (_child(G, cells, ends[e], rc, bc, rest),)
         return _split(G, cells, near, rc, bc, rest, (e, ends[e], 0), (e, ends[e], 0))
 
-    return _frame(WitnessKind.SUBGRAPH, k, k, [1] * G.m, near_row, step, children, stats)
+    return _frame(WitnessKind.SUBGRAPH, k, 1 << (1 << k) - 1, [1] * G.m, near_row, step, children,
+                  stats)[1]
 
 
 def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
@@ -316,14 +322,54 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
         return _split(G, cells, at, rc, bc, L ^ bit[u] ^ bit[v], (u, (u,), bit[u]),
                       (v, (v,), bit[v]))
 
-    return _frame(WitnessKind.TREE, k, k + 1, [1 << s for s in bit],
-                  lambda row: _vertex_unions(G.n, ends, row), step, children)
+    return _frame(WitnessKind.TREE, k, 1 << (1 << (k + 1)) - 1, [1 << s for s in bit],
+                  lambda row: _vertex_unions(G.n, ends, row), step, children)[1]
 
 
-def _path_step(G: RedBlueGraph, lacks: list, bit: list):
-    """The path DP's level step over cells, one per vertex: row (r, b) holds at
-    v the OR acc of row (r - 1, b) over v's red neighbours and of row (r, b - 1)
-    over its blue ones, with v's label added as (acc & lacks[v]) << bit[v]."""
+def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: int):
+    """[k+1]-vertex-colorful balanced path with k edges, if any.
+
+    tau is one VertexColoring, and the answer its witness or None; or a
+    VertexColorings batch, and the answer (index, witness) for its first
+    coloring that has such a path, or None.
+
+    Every coloring is a lane of W = 2^(k+1) bits in each cell, lane c at bits
+    c*W..c*W + W - 1 (one coloring is the one-lane case). Nothing in the path
+    recurrence moves a bit between lanes: the OR over a vertex's neighbours
+    is lane-wise, and adding v's label is one masked shift
+    (acc & M[v][l]) << 2^(l-1) per label l that v carries in the batch, where
+    M[v][l] holds keep[l-1] in exactly the lanes whose coloring gives v label l.
+    """
+    require_even_k(k)
+    batch = type(tau) is VertexColorings
+    rows = tau.rows if batch else (tau.labels[1:],)
+    sizes = set(map(len, rows)) if batch else {len(tau.labels) - 1}
+    if tau.k != k or sizes != {G.n}:
+        raise ValueError(f"{type(tau).__name__} does not match (G, k)")
+    labels, lanes = k + 1, len(rows)
+    keep = _keep_masks(labels)
+    stride = 1 << labels >> 3  # bytes per lane
+    column = bytearray(stride * lanes)
+    ones = int.from_bytes((b"\x01" + bytes(stride - 1)) * lanes, "little")  # bit 0 of each lane
+    # cells[r][b][v]: vertex label sets of colorful paths ending at v; cells[0][0][v]
+    # is the one-vertex path v. adds[v]: (M[v][l], 2^(l-1), the further pairs).
+    base, adds = [0], [None]
+    for col in zip(*rows):
+        l = col[0]
+        if col.count(l) == lanes:  # one label in every lane
+            bit = 1 << l >> 1
+            add = (ones * keep[l - 1], bit, ())
+            base.append(ones << bit)
+        else:
+            column[::stride] = bytes(col)
+            cell, pairs = 0, []
+            for l in set(col):
+                at, bit = int.from_bytes(column.translate(_LANE_OF[l]), "little"), 1 << l >> 1
+                cell |= at << bit
+                pairs.append((at * keep[l - 1], bit))
+            add = (*pairs[0], pairs[1:])
+            base.append(cell)
+        adds.append(add)
     n = G.n
     reds, blues = G._neighbor_lists
 
@@ -340,103 +386,29 @@ def _path_step(G: RedBlueGraph, lacks: list, bit: list):
                 for u in blues[v]:
                     acc |= from_blue[u]
             if acc:
-                row[v] = (acc & lacks[v]) << bit[v]
+                mask, bit, more = adds[v]
+                out = (acc & mask) << bit
+                if more:  # cheaper than an empty loop for a one-label vertex
+                    for mask, bit in more:
+                        out |= (acc & mask) << bit
+                row[v] = out
         return row
 
-    return step
-
-
-def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: int):
-    """[k+1]-vertex-colorful balanced path with k edges, if any.
-
-    tau is one VertexColoring, and the answer its witness or None; or a
-    VertexColorings batch, and the answer the index of its first coloring
-    that has such a path, or None (see _ebp_lanes).
-    """
-    if type(tau) is VertexColorings:
-        return _ebp_lanes(G, tau, k)
-    _, _, bit, lacks = _label_masks(tau, k, G.n + 1)
-    # cells[r][b][v]: vertex label sets of colorful paths ending at v; cells[0][0][v]
-    # is the one-vertex path v
-    step = _path_step(G, lacks, bit)
-
-    # step back through the first neighbour, in adjacency order, holding the rest
+    # step back through the first neighbour, in adjacency order, holding the
+    # rest; L's lane gives the coloring whose label of v leaves the set
     def children(cells, _, out, v, r, b, L):
         if not r + b:
             return ()
-        L ^= bit[v]
+        L ^= 1 << rows[L >> labels][v - 1] >> 1
         for u, e in G.adjacency[v]:
             rc, bc = (r - 1, b) if G.edges[e][2] is EdgeColor.RED else (r, b - 1)
             if rc >= 0 and bc >= 0 and cells[rc][bc][u] >> L & 1:
                 out.append(e)
                 return ((u, rc, bc, L),)
 
-    return _frame(WitnessKind.PATH, k, k + 1, [1 << s for s in bit], None, step, children)
-
-
-def _ebp_lanes(G: RedBlueGraph, taus: VertexColorings, k: int) -> Optional[int]:
-    """The index of the first coloring of taus under which G has a colorful
-    balanced path with k edges, or None.
-
-    The path DP of colorful_ebp_dp over every coloring at once. A cell holds
-    one lane of W = 2^(k+1) bits per coloring, lane c at bits c*W..c*W + W - 1,
-    and lane c is coloring c's cell. Nothing in the path recurrence moves a bit
-    between lanes: the OR over a vertex's neighbours (_path_step, keeping every
-    bit and shifting none) is lane-wise, and adding v's label is one masked
-    shift (acc & M[v][l]) << 2^(l-1) per label l that v carries in the batch,
-    where M[v][l] holds keep[l-1] in exactly the lanes whose coloring gives v
-    label l. No witness is walked, so unlike _frame the loop keeps only the
-    level it reads and the one it makes, not the whole table of wide cells.
-    """
-    require_even_k(k)
-    rows = taus.rows
-    if taus.k != k or set(map(len, rows)) != {G.n}:
-        raise ValueError("VertexColorings does not match (G, k)")
-    labels = k + 1
-    keep = _keep_masks(labels)
-    stride = 1 << labels >> 3  # bytes per lane
-    column = bytearray(stride * len(rows))
-    # base[v]: the one-vertex path v in every lane; shifts[v]: v's (M[v][l], 2^(l-1))
-    base, shifts = [0], [()]
-    for col in zip(*rows):
-        column[::stride] = bytes(col)
-        cell, pairs = 0, []
-        for l in set(col):
-            at, bit = int.from_bytes(column.translate(_LANE_OF[l]), "little"), 1 << l >> 1
-            cell |= at << bit
-            pairs.append((at * keep[l - 1], bit))
-        base.append(cell)
-        shifts.append(pairs)
-    ors = _path_step(G, [-1] * len(shifts), [0] * len(shifts))
-
-    def step(cells, r, b):
-        row = ors(cells, r, b)
-        for v, acc in enumerate(row):
-            if acc:
-                out = 0
-                for mask, bit in shifts[v]:
-                    out |= (acc & mask) << bit
-                row[v] = out
-        return row
-
-    half = k // 2
-    cells = [[None] * (half + 1) for _ in range(half + 1)]
-    cells[0][0] = base
-    for j in range(1, k + 1):
-        alive = False
-        for r, b in count_level(j, half):
-            row = cells[r][b] = step(cells, r, b)
-            alive = alive or any(row)
-        if not alive:
-            return None
-        for r, b in count_level(j - 1, half):
-            cells[r][b] = None
     # the full label set is each lane's top bit
-    hit = 0
-    for cell in cells[half][half]:
-        hit |= cell
-    hit &= int.from_bytes((bytes(stride - 1) + b"\x80") * len(rows), "little")
-    return ((hit & -hit).bit_length() - 1) >> labels if hit else None
+    lane, w = _frame(WitnessKind.PATH, k, ones << (1 << labels) - 1, base, None, step, children)
+    return (lane, w) if batch and w is not None else w
 
 
 # ---------------------------------------------------------------------------
@@ -540,22 +512,20 @@ def _first_witness(G: RedBlueGraph, k: int, kind: WitnessKind, colorings) -> Opt
 
     Path colorings run in batches through colorful_ebp_dp: one coloring, then
     twice as many each time, up to as many lanes as fit _LANE_BYTES in a cell.
-    A one-coloring batch is an ordinary call, so a hit on the first coloring
-    costs what one call costs. The first batch with a hit passes its first
-    hitting coloring to an ordinary call, which gives the witness. Trees and
-    subgraphs run one coloring at a time: their split joins walk each cell's
-    own label sets, which differ from lane to lane.
+    The first batch with a hit answers with the witness walked in its first
+    hitting lane. Trees and subgraphs run one coloring at a time: their split
+    joins walk each cell's own label sets, which differ from lane to lane.
     """
     lanes = 1
     cap = max(1, _LANE_BYTES << 3 >> (k + 1)) if kind is WitnessKind.PATH else 1
     while rows := tuple(islice(colorings, lanes)):
-        hit = 0 if len(rows) == 1 else colorful_ebp_dp(G, VertexColorings(k, rows), k)
-        if hit is not None:
-            w = colorful_dp(G, k, kind, rows[hit])
-            # a batch's hitting lane is a coloring with a witness
-            assert w is not None or len(rows) == 1, "path lanes disagree with one coloring"
-            if w is not None:
-                return w
+        if kind is WitnessKind.PATH:
+            hit = colorful_ebp_dp(G, VertexColorings(k, rows), k)
+            w = hit and hit[1]
+        else:
+            w = colorful_dp(G, k, kind, rows[0])
+        if w is not None:
+            return w
         lanes = min(2 * lanes, cap)
     return None
 
@@ -584,8 +554,8 @@ def family_driver(G: RedBlueGraph, k: int, kind: WitnessKind) -> Optional[Witnes
     """Run the colorful DP over the greedy hash family; exact at family scale.
 
     Path colorings run in batches of lanes (_first_witness); the witness is
-    the one the first family coloring with a hit gives, as one coloring at a
-    time would find it.
+    the one walked in the first family coloring with a hit, as one coloring
+    at a time would find it.
 
     Past greedy_hash_family's scale (more than 20 edges for subgraphs or
     vertices for trees and paths, or more than 6 labels) it returns
@@ -614,7 +584,8 @@ def random_coloring_driver(
     One-sided: a returned witness is always valid; when a size-k solution
     exists, absence is reported with probability <= delta. Path colorings
     run in batches of lanes (_first_witness), drawn from the rng in the same
-    order as one at a time, so the answer is the same.
+    order as one at a time, and the witness is walked in the first hitting
+    lane, so the answer is the same.
     """
     require_even_k(k)
     if not (0.0 < failure_prob < 1.0):

@@ -210,66 +210,79 @@ def test_lane_batch_checks_every_row():
         colorful_ebp_dp(g, VertexColorings(2, (good, (1, 2, 3))), 2)
     with pytest.raises(ValueError, match="does not match"):
         colorful_ebp_dp(g, VertexColorings(4, (good,)), 2)
-    assert colorful_ebp_dp(g, VertexColorings(2, ((1, 1, 2, 2), good, good)), 2) == 1
+    assert colorful_ebp_dp(g, VertexColorings(2, ((1, 1, 2, 2), good, good)), 2) == (
+        1, ref.colorful_ebp_dp(g, VertexColoring(2, (0,) + good), 2))
+
+
+def test_lane_order_and_lane_labels():
+    # the first hitting lane answers even where a later lane hits at a lower
+    # anchor, and its witness is walked with its own labels
+    g = path_graph([R, B, R, B, R])
+    rows = ((2, 2, 2, 2, 2, 2),  # misses; labels the lane-1 witness 2, 2, 2
+            (1, 1, 1, 1, 2, 3),  # colorful only on 4-5-6: anchors 4 and 6
+            (2, 3, 1, 1, 1, 1),  # colorful only on 1-2-3: anchors 1 and 3
+            (3, 3, 3, 3, 3, 3))  # misses
+    want = ref.colorful_ebp_dp(g, VertexColoring(2, (0,) + rows[1]), 2)
+    assert want is not None and want.edge_indices == (3, 4)
+    assert colorful_ebp_dp(g, VertexColorings(2, rows), 2) == (1, want)
+    assert colorful_ebp_dp(g, VertexColorings(2, rows[2:]), 2) == (
+        0, ref.colorful_ebp_dp(g, VertexColoring(2, (0,) + rows[2]), 2))
+    assert colorful_ebp_dp(g, VertexColorings(2, rows[::3]), 2) is None
 
 
 def _record_path_calls(monkeypatch):
-    """Rebind colorful_ebp_dp to record each call: ("batch", lanes, first hit)
-    or ("one", labels, witness); a batch's cells, 2^(k+1) bits per lane, must
-    fit the byte cap."""
+    """Rebind colorful_ebp_dp to record each call as (lanes, answer): every
+    path call is a batch, and its cells, 2^(k+1) bits per lane, must fit the
+    byte cap."""
     dp, calls = colorful_ebp_dp, []
 
     def recorder(G, tau, k):
-        if type(tau) is VertexColorings:
-            hit = dp(G, tau, k)
-            assert len(tau.rows) <= max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
-            assert len(tau.rows) << (k + 1) >> 3 <= colorcoding._LANE_BYTES
-            calls.append(("batch", len(tau.rows), hit))
-            return hit
-        w = dp(G, tau, k)
-        calls.append(("one", tau.labels[1:], w))
-        return w
+        assert type(tau) is VertexColorings
+        hit = dp(G, tau, k)
+        assert len(tau.rows) <= max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
+        assert len(tau.rows) << (k + 1) >> 3 <= colorcoding._LANE_BYTES
+        calls.append((len(tau.rows), hit))
+        return hit
 
     monkeypatch.setattr(colorcoding, "colorful_ebp_dp", recorder)
     return calls
 
 
 def _first_hit(G, k, colorings):
-    """(index, labels, witness) of the first coloring one call at a time finds, or None."""
+    """(index, witness) of the first coloring under which the reference DP
+    finds a path, or None."""
     for i, labels in enumerate(colorings):
-        w = colorful_ebp_dp(G, VertexColoring(k, (0,) + labels), k)
+        w = ref.colorful_ebp_dp(G, VertexColoring(k, (0,) + labels), k)
         if w is not None:
-            return i, labels, w
+            return i, w
     return None
 
 
 def _check_driver(calls, got, expect, count, k):
-    """A driver's recorded calls and answer against one coloring at a time:
-    batches of 1, 2, 4, ... colorings up to the cap, the same witness, and
-    the first hitting coloring as the last call. True when that coloring
-    was not the first."""
+    """A driver's recorded batches and answer against one coloring at a time:
+    batches of 1, 2, 4, ... colorings up to the cap, and the last one's answer
+    the first hitting coloring with its witness. True when that coloring was
+    not the first."""
     cap = max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
     schedule, lanes = [], 1
     while count > 0:
         schedule.append(min(lanes, count))
         count -= schedule[-1]
         lanes = min(2 * lanes, cap)
-    sizes = [1 if kind == "one" else size for kind, size, _ in calls]
+    sizes = [size for size, _ in calls]
     if expect is None:
         assert got is None and sizes == schedule
-        assert all(hit is None for _, _, hit in calls)
+        assert all(hit is None for _, hit in calls)
         return False
-    i, labels, w = expect
-    assert got == w and calls[-1] == ("one", labels, w)
-    if len(calls) > 1 and calls[-2][0] == "batch" and calls[-2][2] is not None:
-        sizes.pop()  # the witness call on the batch's first hit
-    assert sizes == schedule[:len(sizes)] and sum(sizes) > i >= sum(sizes[:-1])
+    i, w = expect
+    assert sizes == schedule[:len(sizes)] and all(hit is None for _, hit in calls[:-1])
+    assert got == w and calls[-1][1] == (i - sum(sizes[:-1]), w)
     return i > 0
 
 
 def test_path_lanes_match_one_coloring_at_a_time(monkeypatch):
-    # both drivers, their path colorings in batches of lanes, against a loop
-    # of single-coloring calls over the same colorings in the same order
+    # both drivers, their path colorings in batches of lanes, against the
+    # reference DP over the same colorings, one at a time, in the same order
     rng = random.Random(1301)
     later = capped = fallbacks = 0
     for _ in range(150):
@@ -301,7 +314,7 @@ def test_path_lanes_match_one_coloring_at_a_time(monkeypatch):
             monkeypatch.undo()
             later += _check_driver(calls, got, expect, len(colorings), k)
             capped += max(1, colorcoding._LANE_BYTES * 8 >> (k + 1)) in [
-                size for kind, size, _ in calls if kind == "batch"]
+                size for size, _ in calls]
     assert later >= 20 and capped >= 5 and fallbacks == 8
 
 
@@ -481,6 +494,9 @@ def test_colorful_dps_leave_no_cyclic_garbage():
     assert _garbage_after(run(colorful_bcs_dp, sigma)) == 0
     assert _garbage_after(run(colorful_bt_dp, tau)) == 0
     assert _garbage_after(run(colorful_ebp_dp, tau)) == 0
+    taus = lambda: VertexColorings(k, tuple(tuple(rng.randrange(1, k + 2) for _ in range(g.n))
+                                            for _ in range(8)))
+    assert _garbage_after(run(colorful_ebp_dp, taus)) == 0
     assert any(found)  # the witness reconstructions ran
 
 
