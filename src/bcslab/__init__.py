@@ -34,7 +34,7 @@ from .colorcoding import (
     greedy_hash_family,
     random_coloring_driver,
 )
-from .repsets import RepConfig, SetFamily, convolve_extend, reduce_family, solve_ebp_repsets
+from .repsets import SetFamily, convolve_extend, reduce_family, solve_ebp_repsets
 from .algebra.circuits import (
     Circuit,
     build_circuit_ebcs,

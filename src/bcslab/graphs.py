@@ -177,15 +177,6 @@ class VertexColoredGraph:
                 raise ValueError("duplicate edge")
             seen.add(key)
 
-    def neighbors(self, v: int) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
 
 @dataclass(frozen=True)
 class Witness:

@@ -11,7 +11,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Optional
 
-from .graphs import RedBlueGraph, Witness, WitnessKind, _edge_set_connected
+from .graphs import RedBlueGraph, Witness, WitnessKind, _edge_set_connected, require_even_k
 
 
 DEFAULT_BUDGET = 10**7
@@ -60,8 +60,7 @@ class _Budget:
 def _balanced_candidates(G: RedBlueGraph, h: int, budget: _Budget):
     """Yield edge-index tuples with h/2 red + h/2 blue edges, h >= 2 even."""
     half = h // 2
-    reds = G.red_edges()
-    blues = G.blue_edges()
+    _, reds, blues = G._edge_lists
     if len(reds) < half or len(blues) < half:
         return
     for rc in combinations(reds, half):
@@ -91,8 +90,7 @@ def oracle_solve(
 
     Returned witnesses always pass validate_witness. None when no witness exists.
     """
-    if k < 2 or k % 2:
-        raise ValueError("k must be a positive even integer >= 2")
+    require_even_k(k)
     b = _Budget(budget)
     sizes = [k] if mode is SolveMode.EXACT else range(k, G.m + 1, 2)
     for h in sizes:
@@ -108,8 +106,7 @@ def oracle_count(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact number of balanced edge subsets of size k satisfying the kind."""
-    if k < 2 or k % 2:
-        raise ValueError("k must be a positive even integer >= 2")
+    require_even_k(k)
     return sum(1 for _ in _witness_sets(G, k, kind, _Budget(budget)))
 
 
@@ -120,4 +117,5 @@ def all_witness_sets(
     budget: int = DEFAULT_BUDGET,
 ) -> list:
     """All witness edge sets of size exactly k, as sorted tuples (test helper)."""
+    require_even_k(k)
     return list(_witness_sets(G, k, kind, _Budget(budget)))

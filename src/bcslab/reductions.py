@@ -182,12 +182,8 @@ def longest_path_split_to_ebp(
     best = _longest_path_vertices(n, edges, u0, k)
     if best is not None:
         # path u_k .. u_1 u0 x_1 .. x_k: red spine plus k blue source edges
-        byends = {}
-        for i, (u, v, _) in enumerate(H.edges):
-            byends[(u, v)] = i
-            byends[(v, u)] = i
         seq = list(reversed(us)) + best
-        eidx = [byends[(a, b)] for a, b in zip(seq, seq[1:])]
+        eidx = [dict(H.adjacency[a])[b] for a, b in zip(seq, seq[1:])]
         intended = Witness(WitnessKind.PATH, tuple(sorted(eidx)))
     return GeneratedInstance(
         H, 2 * k, WitnessKind.PATH, intended,

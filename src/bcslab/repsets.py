@@ -2,29 +2,31 @@
 
 A family of p-subsets of [n] is reduced to a q-representative subfamily
 (q = k_cap - p) by linear algebra: ground element j maps to the moment vector
-(1, j, j^2, ..., j^(k_cap-1)) over GF(prime > n), a p-set maps to its vector
-of p x p minors (the coordinates of the wedge of its columns), and a row basis
-of those vectors, kept greedily in insertion order, is the subfamily. Any
-k_cap columns are independent (Vandermonde), which is what the representation
-property needs. Size bound: C(k_cap, p). The wedge is built by exterior
-products, one column at a time, never by determinants (Fomin, Lokshtanov,
-Panolan, Saurabh, "Efficient computation of representative families",
-JACM 2016).
+(1, j, j^2, ..., j^(k_cap-1)) over GF(q'), q' the smallest prime above n, a
+p-set maps to its vector of p x p minors (the coordinates of the wedge of its
+columns), and a row basis of those vectors, kept greedily in insertion order,
+is the subfamily. Any k_cap columns are independent (Vandermonde), which is
+what the representation property needs. Size bound: C(k_cap, p). The wedge is
+built by exterior products, one column at a time, never by determinants
+(Fomin, Lokshtanov, Panolan, Saurabh, "Efficient computation of
+representative families", JACM 2016).
 
-The exact balanced path solver runs the families P[(u,v,r,b)] of vertex sets
-of u-v paths with r red and b blue edges, extending by one vertex per level
-and reducing with k_cap = k+1 after every level. Each kept set carries one
-realizing path so the decision is constructive. One solve memoises the minor
-vector of each mask it reduces.
+The exact balanced path solver keeps one table per level (r, b): for each
+(u, v), the family of vertex sets of u-v paths with r red and b blue edges,
+non-empty families only. It extends by one vertex per level and reduces with
+k_cap = k+1 after every level. Each kept set carries one realizing path so
+the decision is constructive. One solve memoises the minor vector of each
+mask it reduces.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Optional
 
-from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, require_even_k
+from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, count_level, require_even_k
 
 
 @dataclass(frozen=True)
@@ -37,34 +39,24 @@ class SetFamily:
 
     def __post_init__(self):
         for mask, wit in self.sets:
-            if bin(mask).count("1") != self.p:
-                raise ValueError("set size differs from p")
+            if mask & 1 or mask >> self.ground_size + 1:
+                raise ValueError("set holds a vertex outside 1..ground_size")
+            if mask.bit_count() != self.p or len(wit) != self.p:
+                raise ValueError("set or witness size differs from p")
             wmask = 0
             for v in wit:
                 wmask |= 1 << v
             if wmask != mask:
                 raise ValueError("witness vertex set differs from the subset")
 
-    def masks(self) -> list:
-        return [m for m, _ in self.sets]
 
-
-@dataclass(frozen=True)
-class RepConfig:
-    k_cap: int
-    field_prime: int
-
-
+@lru_cache(maxsize=None)
 def _smallest_prime_above(n: int) -> int:
     x = n + 1
     while True:
         if x > 1 and all(x % d for d in range(2, int(x**0.5) + 1)):
             return x
         x += 1
-
-
-def default_config(n: int, k: int) -> RepConfig:
-    return RepConfig(k_cap=k + 1, field_prime=_smallest_prime_above(n))
 
 
 def _colex_row_subsets(k_cap: int, p: int) -> list:
@@ -119,25 +111,21 @@ def minor_vector(mask: int, k_cap: int, q: int) -> list:
     return vec
 
 
-def reduce_family(S: SetFamily, k_cap: int, cfg: RepConfig, *,
-                  wedges: Optional[dict] = None) -> SetFamily:
+def reduce_family(S: SetFamily, k_cap: int, *, wedges: Optional[dict] = None) -> SetFamily:
     """(k_cap - p)-representative subfamily of size <= C(k_cap, p).
 
-    Keeps the sets whose minor vectors extend a growing row basis over
-    GF(field_prime), in insertion order; once the basis has full rank no
-    later set can extend it. `wedges`, when given, memoises minor vectors by
-    mask; the caller keeps one dict per (k_cap, field_prime).
+    Keeps the sets whose minor vectors extend a growing row basis over GF(q),
+    q the smallest prime above the ground size, in insertion order; once the
+    basis has full rank no later set can extend it. `wedges`, when given,
+    memoises minor vectors by mask; the caller keeps one dict per k_cap and
+    ground size.
     """
     if S.p > k_cap:
         raise ValueError("p exceeds k_cap")
-    q = cfg.field_prime
-    if q <= S.ground_size:
-        raise ValueError("field prime must exceed the ground size")
-    if not S.sets:
-        return S
+    q = _smallest_prime_above(S.ground_size)
     if wedges is None:
         wedges = {}
-    dim = None
+    dim = comb(k_cap, S.p)
     basis = []  # (pivot, row from the pivot on, scaled to 1 there), in insertion order
     kept = []
     for mask, wit in S.sets:
@@ -146,8 +134,6 @@ def reduce_family(S: SetFamily, k_cap: int, cfg: RepConfig, *,
         vec = wedges.get(mask)
         if vec is None:
             vec = wedges[mask] = minor_vector(mask, k_cap, q)
-        if dim is None:
-            dim = len(vec)
         row = vec[:]
         for piv, tail in basis:
             f = row[piv]
@@ -184,65 +170,48 @@ def solve_ebp_repsets(
     """
     require_even_k(k)
     half = k // 2
-    cfg = default_config(G.n, k)
     k_cap = k + 1
+    # (r, b) -> {(u, v): SetFamily}, in (u, v) order from level 2 on; a non-empty
+    # candidate family keeps its first set, so every family here is non-empty
+    fam = {}
+    wedges = {}  # mask -> minor vector, for this k_cap and ground size
+    red = [c is EdgeColor.RED for _, _, c in G.edges]
 
-    fam = {}  # (u, v, r, b) -> SetFamily
-    ends = {}  # (r, b) -> the (u, v) with a family, so a level visits only their extensions
-    wedges = {}  # mask -> minor vector, for this k_cap and field
-    red = [G.color(ei) is EdgeColor.RED for ei in range(G.m)]
-
-    def put(u, v, r, b, pairs):
-        # dedupe masks, first witness wins, insertion order by construction
-        seen = {}
-        for mask, wit in pairs:
-            if mask not in seen:
-                seen[mask] = wit
-        cand = SetFamily(G.n, r + b + 1, tuple((m, w) for m, w in seen.items()))
-        reduced = reduce_family(cand, k_cap, cfg, wedges=wedges)
-        if record is not None:
-            record.append((u, v, r, b, cand, reduced))
-        if reduced.sets:
-            fam[(u, v, r, b)] = reduced
-            ends.setdefault((r, b), []).append((u, v))
-
-    for ei in range(G.m):
-        u, v, _ = G.edges[ei]
+    for ei, (u, v, _) in enumerate(G.edges):
+        level = fam.setdefault((1, 0) if red[ei] else (0, 1), {})
         for a, bnd in ((u, v), (v, u)):
-            rb = (1, 0) if red[ei] else (0, 1)
-            fam[(a, bnd) + rb] = SetFamily(G.n, 2, (((1 << a) | (1 << bnd), (a, bnd)),))
-            ends.setdefault(rb, []).append((a, bnd))
+            level[(a, bnd)] = SetFamily(G.n, 2, (((1 << a) | (1 << bnd), (a, bnd)),))
 
     for j in range(2, k + 1):
-        for r in range(max(0, j - half), min(half, j) + 1):
-            b = j - r
+        for r, b in count_level(j, half):
+            by_red = fam.get((r - 1, b), {})  # u-w paths that a red edge w-v extends
+            by_blue = fam.get((r, b - 1), {})
             # a u-v path of this level ends in an edge w-v after a u-w path of
             # the last one; visit (u, v) in the order of the full double loop
             targets = set()
-            for rb, by_red in (((r - 1, b), True), ((r, b - 1), False)):
-                for u, w in ends.get(rb, ()):
+            for last, is_red in ((by_red, True), (by_blue, False)):
+                for u, w in last:
                     targets.update((u, v) for v, ei in G.adjacency[w]
-                                   if red[ei] is by_red and v != u)
+                                   if red[ei] is is_red and v != u)
+            level = fam[(r, b)] = {}
             for u, v in sorted(targets):
-                pairs = []
+                seen = {}  # mask -> first witness, in insertion order
                 for w, ei in G.adjacency[v]:
-                    prev = fam.get((u, w, r - 1, b) if red[ei] else (u, w, r, b - 1))
+                    prev = (by_red if red[ei] else by_blue).get((u, w))
                     if prev is not None:
-                        pairs.extend(convolve_extend(prev, v).sets)
-                if pairs:
-                    put(u, v, r, b, pairs)
+                        for mask, wit in convolve_extend(prev, v).sets:
+                            seen.setdefault(mask, wit)
+                if not seen:
+                    continue
+                cand = SetFamily(G.n, j + 1, tuple(seen.items()))
+                reduced = reduce_family(cand, k_cap, wedges=wedges)
+                if record is not None:
+                    record.append((u, v, r, b, cand, reduced))
+                level[(u, v)] = reduced
 
-    for u in range(1, G.n + 1):
-        for v in range(1, G.n + 1):
-            f = fam.get((u, v, half, half))
-            if f and f.sets:
-                wit = f.sets[0][1]
-                edges = []
-                byends = {}
-                for ei, (a, bnd, _) in enumerate(G.edges):
-                    byends[(a, bnd)] = ei
-                    byends[(bnd, a)] = ei
-                for x, y in zip(wit, wit[1:]):
-                    edges.append(byends[(x, y)])
-                return Witness(WitnessKind.PATH, tuple(sorted(edges)))
-    return None
+    top = fam.get((half, half))
+    if not top:
+        return None
+    wit = next(iter(top.values())).sets[0][1]
+    return Witness(WitnessKind.PATH,
+                   tuple(sorted(dict(G.adjacency[x])[y] for x, y in zip(wit, wit[1:]))))

@@ -94,6 +94,19 @@ def test_budget_error():
 def test_odd_k_rejected():
     with pytest.raises(ValueError):
         oracle_solve(TRI, 3, WitnessKind.SUBGRAPH)
+    with pytest.raises(ValueError):  # used to list the 2-edge paths
+        all_witness_sets(C4, 3, WitnessKind.PATH)
+
+
+@pytest.mark.parametrize("k", [2.0, 4.0])
+def test_float_k_rejected(k):
+    # 2.0 used to fail inside combinations with a TypeError, 4.0 to answer None
+    with pytest.raises(ValueError):
+        oracle_solve(C4, k, WitnessKind.PATH)
+    with pytest.raises(ValueError):
+        oracle_count(C4, k, WitnessKind.PATH)
+    with pytest.raises(ValueError):
+        all_witness_sets(C4, k, WitnessKind.PATH)
 
 
 def test_all_witness_sets_distinct():

@@ -8,12 +8,10 @@ import pytest
 from bcslab.graphs import EdgeColor, RedBlueGraph, WitnessKind, validate_witness
 from bcslab.oracle import oracle_solve
 from bcslab.repsets import (
-    RepConfig,
     SetFamily,
     _colex_row_subsets,
     _smallest_prime_above,
     convolve_extend,
-    default_config,
     minor_vector,
     reduce_family,
     solve_ebp_repsets,
@@ -42,21 +40,20 @@ def _represents(reduced_masks, original_masks, universe, q):
 
 def test_reduce_singletons():
     S = SetFamily(4, 1, ((_mask(1), (1,)), (_mask(2), (2,)), (_mask(3), (3,))))
-    cfg = RepConfig(2, 5)
-    Sh = reduce_family(S, 2, cfg)
+    Sh = reduce_family(S, 2)
     assert len(Sh.sets) <= 2
     assert _represents([m for m, _ in Sh.sets], [m for m, _ in S.sets], range(1, 5), 1)
 
 
 def test_reduce_single_set_identity():
     S = SetFamily(4, 2, ((_mask(1, 2), (1, 2)),))
-    assert reduce_family(S, 2, RepConfig(2, 5)).sets == S.sets
+    assert reduce_family(S, 2).sets == S.sets
 
 
 def test_reduce_q_zero_keeps_one():
     allp = tuple((_mask(a, b), (a, b)) for a, b in combinations(range(1, 5), 2))
     S = SetFamily(4, 2, allp)
-    Sh = reduce_family(S, 2, RepConfig(2, 5))
+    Sh = reduce_family(S, 2)
     assert len(Sh.sets) == 1
 
 
@@ -73,8 +70,7 @@ def test_reduce_size_bound_and_representation():
         rng.shuffle(pool)
         sets = tuple((_mask(*s), tuple(s)) for s in pool[: rng.randrange(1, len(pool) + 1)])
         S = SetFamily(7, p, sets)
-        cfg = RepConfig(k_cap, 11)
-        Sh = reduce_family(S, k_cap, cfg)
+        Sh = reduce_family(S, k_cap)
         assert len(Sh.sets) <= comb(k_cap, p)
         assert set(Sh.sets) <= set(S.sets)
         assert _represents(
@@ -92,11 +88,10 @@ def test_reduce_union_law():
     half = len(pool) // 2
     S1 = SetFamily(7, 2, tuple((_mask(*s), tuple(s)) for s in pool[:half]))
     S2 = SetFamily(7, 2, tuple((_mask(*s), tuple(s)) for s in pool[half:]))
-    cfg = RepConfig(4, 11)
-    R1 = reduce_family(S1, 4, cfg)
-    R2 = reduce_family(S2, 4, cfg)
+    R1 = reduce_family(S1, 4)
+    R2 = reduce_family(S2, 4)
     union = SetFamily(7, 2, R1.sets + R2.sets)
-    RU = reduce_family(union, 4, cfg)
+    RU = reduce_family(union, 4)
     all_masks = [m for m, _ in S1.sets] + [m for m, _ in S2.sets]
     assert _represents([m for m, _ in RU.sets], all_masks, universe, 2)
 
@@ -178,9 +173,19 @@ def test_solver_golden():
 def test_reduce_errors():
     S = SetFamily(4, 2, ((_mask(1, 2), (1, 2)),))
     with pytest.raises(ValueError):
-        reduce_family(S, 1, RepConfig(1, 5))  # p > k_cap
+        reduce_family(S, 1)  # p > k_cap
+
+
+@pytest.mark.parametrize("p, mask, wit", [
+    (1, _mask(9), (9,)),  # above the ground size: over GF(5), 9 is 4
+    (2, _mask(0, 2), (0, 2)),  # bit 0 is no vertex
+    (2, _mask(1, 2), (1, 2, 1)),  # a witness longer than p
+    (1, _mask(1, 2), (1, 2)),  # a set larger than p
+    (1, _mask(1), (2,)),  # a witness off the set
+], ids=["above_ground", "bit_zero", "long_witness", "large_set", "witness_off_set"])
+def test_set_family_rejects_bad_members(p, mask, wit):
     with pytest.raises(ValueError):
-        reduce_family(S, 3, RepConfig(3, 3))  # prime <= ground
+        SetFamily(4, p, ((mask, wit),))
 
 
 def test_convolve_extend():
@@ -255,6 +260,6 @@ def test_recorded_reductions_represent_true_families():
     assert checked > 0
 
 
-def test_default_config_prime():
-    cfg = default_config(10, 6)
-    assert cfg.field_prime == 11 and cfg.k_cap == 7
+def test_smallest_prime_above():
+    assert [_smallest_prime_above(n) for n in (0, 1, 2, 4, 7, 10, 13, 24)] == \
+        [2, 2, 3, 5, 11, 11, 17, 29]
