@@ -4,10 +4,8 @@ from .graphs import (
     EdgeColor,
     RedBlueGraph,
     ValidationReport,
-    VertexColoredGraph,
     Witness,
     WitnessKind,
-    line_graph,
     parse_graph,
     serialize_graph,
     split_partition,
@@ -15,9 +13,7 @@ from .graphs import (
 )
 from .oracle import OracleBudgetError, SolveMode, oracle_count, oracle_solve
 from .shrink import (
-    BalanceProfile,
     ShrinkPreconditionError,
-    balance_profile,
     shrink_path,
     shrink_subgraph,
     shrink_to_range,
@@ -40,18 +36,6 @@ from .algebra.circuits import (
     build_circuit_ebcs,
     build_circuit_ebp,
     build_circuit_ebt,
-    dump_circuit,
-    expand_multilinear,
-)
-from .algebra.group_algebra import (
-    Backend,
-    Basis,
-    GroupAlgebraElement,
-    change_basis,
-    ga_identity,
-    ga_multiply,
-    ga_zero,
-    one_plus_v,
 )
 from .algebra.mldetect import (
     RandomizedAnswer,

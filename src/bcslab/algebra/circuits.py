@@ -26,24 +26,20 @@ then pick distinct tag sets (no cell repeats inside one derivation of a
 square-free monomial, because a cell's monomials all contain its anchor
 variables), so coefficients survive characteristic 2 under random tag
 values. With every tag set to one the polynomial is exactly the untagged
-recurrence over the non-negative integers, which is what the symbolic
+recurrence over the non-negative integers, which is what the tests' symbolic
 expansion checks.
 
 A Circuit is analysed once, when it is constructed. The pass that checks the
 gate references and tag indices numbers the structural variables and takes
-every gate's degree, for the output's homogeneous degree. `walk` evaluates a
-circuit in one loop over its gates for any choice of value rules, after a
-pass that finds each value's last reader; `expand_multilinear` and the tests'
-reference evaluators go through it. A second pass, from the output down,
-builds the sieve's level schedule (`Schedule`): only the gates the output
-reads, grouped by level into multiplies and sums, each with its tags, with
-value slots reused once a value's last reader has run.
+every gate's degree, for the output's homogeneous degree. A second pass, from
+the output down, builds the sieve's level schedule (`Schedule`): only the
+gates the output reads, grouped by level into multiplies and sums, each with
+its tags, with value slots reused once a value's last reader has run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -263,61 +259,6 @@ def _schedule(gates: tuple, out: int, var_index: dict) -> Schedule:
                     tuple(steps), slot[out])
 
 
-def walk(c: Circuit, var: Callable, const: Callable, add: Callable, mul: Callable,
-         tag: Callable):
-    """The output value of c under one set of value rules.
-
-    var(i) gives variable number i (c.var_index), const(bit) c0 or c1;
-    mul(a, b) multiplies two values, tag(v, s) multiplies value v by tag s,
-    and add(a, b) is folded left over a sum's terms. A first pass finds each
-    value's last reader; the value is dropped once that gate has run.
-    """
-    gates, var_index = c.gates, c.var_index
-    reads = [[i[0] if type(i) is tuple else i for i in g[1:]] if g[0] == "add"
-             else g[1:3] if g[0] == "mul" else () for g in gates]
-    last = {i: gid for gid, rs in enumerate(reads) for i in rs}
-    last[c.output] = len(gates)
-    vals: list = [None] * len(gates)
-    for gid, g in enumerate(gates):
-        op = g[0]
-        if op == "add":
-            v = reduce(add, [tag(vals[i[0]], i[1]) if type(i) is tuple else vals[i]
-                             for i in g[1:]])
-        elif op == "mul":
-            v = mul(vals[g[1]], vals[g[2]])
-            if len(g) == 4:
-                v = tag(v, g[3])
-        elif op == "in":
-            v = var(var_index[g[1]])
-        else:
-            v = const(op == "c1")
-        for x in reads[gid]:
-            if last[x] == gid:
-                vals[x] = None
-        vals[gid] = v
-    return vals[c.output]
-
-
-def dump_circuit(c: Circuit) -> str:
-    """One line per gate, `g<id> = <gate>`, then `out g<id>`. A gate reads
-    `IN x3`, `C0`, `C1`, `ADD g4 t7*g5` (a sum of gate 4 and tag 7 times
-    gate 5), `MUL g2 g6`, or `MUL g2 g6 t8` (their product times tag 8)."""
-    lines = []
-    for gid, g in enumerate(c.gates):
-        if g[0] == "in":
-            body = "IN %s%s" % g[1]
-        elif g[0] == "add":
-            body = "ADD" + "".join(" t%d*g%d" % (i[1], i[0]) if type(i) is tuple else f" g{i}"
-                                   for i in g[1:])
-        elif g[0] == "mul":
-            body = "MUL g%d g%d" % g[1:3] + ("" if len(g) == 3 else f" t{g[3]}")
-        else:
-            body = g[0].upper()
-        lines.append(f"g{gid} = {body}")
-    lines.append(f"out g{c.output}")
-    return "\n".join(lines) + "\n"
-
-
 class _Builder:
     def __init__(self):
         self.gates: List[tuple] = []
@@ -477,38 +418,3 @@ def build_circuit_ebp(G: RedBlueGraph, k: int) -> Circuit:
         return [bld.gate(("mul", bld.var(("y", v)), agg, bld.n_tags - 1))]
 
     return bld.circuit(rule, range(1, G.n + 1), k, k + 1)
-
-
-def expand_multilinear(c: Circuit, max_degree: int) -> Dict[FrozenSet, int]:
-    """Multilinear-truncated expansion over the integers, tags set to one.
-
-    Monomials with a repeated variable or degree beyond max_degree are dropped
-    at every product; the surviving dictionary maps frozensets of ('x', i) /
-    ('y', v) variables to their exact non-negative integer coefficients. Valid
-    because a square or an over-degree factor can never return to the
-    multilinear, bounded-degree part.
-    """
-    one = frozenset()
-    names = list(c.var_index)
-
-    def add(a, b):
-        out = dict(a)
-        for mono, coef in b.items():
-            out[mono] = out.get(mono, 0) + coef
-        return {m: c2 for m, c2 in out.items() if c2}
-
-    def mul(a, b):
-        out: Dict[FrozenSet, int] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                if len(m) > max_degree:
-                    continue
-                out[m] = out.get(m, 0) + c1 * c2
-        return out
-
-    value = walk(c, lambda i: {frozenset((names[i],)): 1},
-                 lambda bit: {one: 1} if bit else {}, add, mul, lambda v, s: v)
-    return {m: c2 for m, c2 in value.items() if c2}

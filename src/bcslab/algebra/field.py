@@ -1,4 +1,4 @@
-"""GF(2^l) arithmetic for l in {16, 32, 64}, scalar and vectorized.
+"""GF(2^l) arithmetic for l in {16, 32, 64}, vectorized on numpy arrays.
 
 One field per width: the tower GF(2^16) -> GF(2^32) -> GF(2^64) built from
 y^2+y+C and z^2+z+C*y with C = 0x800 (trace 1, so both quadratics are
@@ -75,7 +75,7 @@ def _build_tables16():
 
 
 _exp16, _LOG = _build_tables16()
-_EXP16_LIST, _LOG16_LIST = _exp16.tolist(), _LOG.tolist()
+_LOGC = int(_LOG[TOWER_C])
 
 # A nonzero log sum is at most 3 * 65534 (two logs and the constant C^2).
 # log(0) = _ZERO puts any sum involving a zero at or past _ZERO, which reads 0.
@@ -84,7 +84,6 @@ _LOG[0] = _ZERO
 _EXP = np.resize(_exp16, 2 * _ZERO + 65535)
 _EXP[_ZERO:] = 0
 del _exp16
-_LOGC = _LOG16_LIST[TOWER_C]
 
 
 def _tower_terms(ell: int) -> list:
@@ -187,21 +186,3 @@ class VecGF:
         t = _LOG.take(a)
         t += _LOG.take(s[0])
         return _EXP.take(t)
-
-    # scalar reference ops (python ints) for tests
-    def mul_scalar(self, a: int, b: int) -> int:
-        if self.ell == 16:
-            return _EXP16_LIST[(_LOG16_LIST[a] + _LOG16_LIST[b]) % 65535] if a and b else 0
-        half = self.ell // 2
-        m = (1 << half) - 1
-        sub = VecGF(half)
-        a0, a1 = a & m, a >> half
-        b0, b1 = b & m, b >> half
-        m0 = sub.mul_scalar(a0, b0)
-        m2 = sub.mul_scalar(a1, b1)
-        m1 = sub.mul_scalar(a0 ^ a1, b0 ^ b1)
-        if self.ell == 32:
-            cm2 = sub.mul_scalar(m2, TOWER_C)
-        else:
-            cm2 = sub.mul_scalar(m2, TOWER_C << 16)  # D = C*y in GF(2^32)
-        return (m0 ^ cm2) | ((m1 ^ m0) << half)

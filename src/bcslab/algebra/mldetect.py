@@ -272,20 +272,29 @@ def randomized_solve(
 ) -> RandomizedAnswer:
     """One-sided randomized decision (and optional witness by self-reduction).
 
-    The witness is found by deleting each edge whose removal keeps the answer
-    yes. A one-sided miss keeps an edge the witness does not need, so a pass
-    whose edges do not validate is run again on fresh seeds, and after
-    _WITNESS_PASSES such passes WitnessExtractionError is raised.
+    The arguments are checked, and a graph of fewer than k edges is answered
+    no, before any circuit is built. The witness is found by deleting each
+    edge whose removal keeps the answer yes. A one-sided miss keeps an edge
+    the witness does not need, so a pass whose edges do not validate is run
+    again on fresh seeds, and after _WITNESS_PASSES such passes
+    WitnessExtractionError is raised.
     """
     require_even_k(k)
     if trials is None:
         trials = max(16, k)
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if ell not in (16, 32, 64):
+        raise ValueError("l must be one of 16, 32, 64")
+    if G.m < k:
+        return RandomizedAnswer(False, None)
     build, extra = _BUILDERS[kind]
     k_dim = k + extra
 
     def decide(graph, s):
+        # extraction decides only edge sets of at least k edges
         c = build(graph, k)
-        if graph.m < k or c.gates[c.output][0] == "c0":
+        if c.gates[c.output][0] == "c0":
             return False
         return detect_multilinear(c, k_dim, ell, trials, s)
 

@@ -2,8 +2,7 @@
 
 JSON/CSV outputs are versioned ("format": 1) and deterministic for identical
 flags and seed, except for wall-clock fields (millis, median_ms). Exit codes:
-0 yes, 1 no, 2 error. BCSLAB_THREADS caps crosscheck fan-out (default 1, at
-most the CPU count; results are merged in instance order either way).
+0 yes, 1 no, 2 error.
 """
 from __future__ import annotations
 
@@ -98,25 +97,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    """`solve --algo oracle`, or with --count the number of witnesses."""
+    if not args.count:
+        return cmd_solve(args)
     G = _load_graph(args.graph)
-    kind = KINDS[args.kind]
-    mode = SolveMode.AT_LEAST if args.mode == "atleast" else SolveMode.EXACT
-    if args.count:
-        c = oracle_count(G, args.k, kind, budget=args.budget)
-        _emit({"format": 1, "count": c, "kind": args.kind, "k": args.k})
-        return 0
-    w = oracle_solve(G, args.k, kind, mode, budget=args.budget)
-    _emit({
-        "format": 1,
-        "answer": "yes" if w else "no",
-        "witness": sorted(w.edge_indices) if w else None,
-        "algo": "oracle",
-        "kind": args.kind,
-        "k": args.k,
-        "seed": args.seed,
-        "millis": 0,
-    })
-    return 0 if w else 1
+    c = oracle_count(G, args.k, KINDS[args.kind], budget=args.budget)
+    _emit({"format": 1, "count": c, "kind": args.kind, "k": args.k})
+    return 0
 
 
 def cmd_shrink(args) -> int:
@@ -206,26 +193,8 @@ def check_instance(G: RedBlueGraph, ks, trials: int, ell: int, seed: int) -> dic
     return out
 
 
-def _threads() -> int:
-    """BCSLAB_THREADS as a worker count, capped at the CPU count."""
-    raw = os.environ.get("BCSLAB_THREADS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ValueError(f"BCSLAB_THREADS must be a positive integer, got {raw!r}")
-    return min(int(raw), os.cpu_count() or 1)
-
-
 def crosscheck_corpus(instances, ks=(2, 4), trials=32, ell=64, seed=1) -> dict:
-    threads = _threads()
-    results = []
-    if threads > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(threads) as pool:
-            results = pool.starmap(
-                check_instance, [(G, ks, trials, ell, seed) for G in instances]
-            )
-    else:
-        results = [check_instance(G, ks, trials, ell, seed) for G in instances]
+    results = [check_instance(G, ks, trials, ell, seed) for G in instances]
     report = {
         "format": 1,
         "instances": len(results),
@@ -298,30 +267,30 @@ def main(argv: Optional[list] = None) -> int:
     ap = argparse.ArgumentParser(prog="bcslab")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_algo=True):
-        if with_algo:
-            p.add_argument("--algo", required=True,
-                           choices=["oracle", "split", "colorcoding", "repsets", "algebraic"])
+    def common(p):
+        """The flags `solve --algo oracle` reads, which `oracle` shares."""
         p.add_argument("--kind", default="subgraph", choices=list(KINDS))
         p.add_argument("-k", type=int, required=True)
         p.add_argument("--mode", default="exact", choices=["exact", "atleast"])
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--trials", type=int, default=32)
-        p.add_argument("--delta", type=float, default=0.01)
-        p.add_argument("--ell", type=int, default=64, choices=[16, 32, 64])
-        p.add_argument("--witness", action="store_true")
         p.add_argument("--budget", type=int, default=10**7)
 
     ps = sub.add_parser("solve")
+    ps.add_argument("--algo", required=True,
+                    choices=["oracle", "split", "colorcoding", "repsets", "algebraic"])
     common(ps)
+    ps.add_argument("--trials", type=int, default=32)
+    ps.add_argument("--delta", type=float, default=0.01)
+    ps.add_argument("--ell", type=int, default=64, choices=[16, 32, 64])
+    ps.add_argument("--witness", action="store_true")
     ps.add_argument("graph")
     ps.set_defaults(fn=cmd_solve)
 
     po = sub.add_parser("oracle")
-    common(po, with_algo=False)
+    common(po)
     po.add_argument("--count", action="store_true")
     po.add_argument("graph")
-    po.set_defaults(fn=cmd_oracle)
+    po.set_defaults(fn=cmd_oracle, algo="oracle")
 
     ph = sub.add_parser("shrink")
     ph.add_argument("-k", type=int, required=True)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterator, List, Tuple
+from itertools import combinations
+from typing import Iterator, List
 
 import numpy as np
 

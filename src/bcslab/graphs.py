@@ -158,27 +158,6 @@ class RedBlueGraph:
 
 
 @dataclass(frozen=True)
-class VertexColoredGraph:
-    """Simple undirected graph with a red/blue color per vertex."""
-
-    n: int
-    edges: tuple  # (u, v) pairs
-    vcolor: tuple  # vcolor[v] for v in 1..n; index 0 unused
-
-    def __post_init__(self):
-        if len(self.vcolor) != self.n + 1:
-            raise ValueError("vcolor must have length n+1 (index 0 unused)")
-        seen = set()
-        for u, v in self.edges:
-            if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError("bad edge")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError("duplicate edge")
-            seen.add(key)
-
-
-@dataclass(frozen=True)
 class Witness:
     """An edge subset claimed to solve one of the three balanced problems."""
 
@@ -383,22 +362,6 @@ def validate_witness(G: RedBlueGraph, w: Witness, k: int) -> ValidationReport:
         if any(d > 2 for d in deg.values()):
             failures.append("a vertex has degree > 2")
     return ValidationReport(not failures, tuple(failures))
-
-
-def line_graph(G: RedBlueGraph) -> VertexColoredGraph:
-    """Line graph with vertex i+1 standing for edge i, colored by that edge.
-
-    Vertices are adjacent iff the edges share exactly one endpoint. Isolated
-    vertices of G do not occur among edges and are ignored.
-    """
-    m = G.m
-    lg_edges = []
-    for i in range(m):
-        for j in G.edge_neighbors(i):
-            if j > i:
-                lg_edges.append((i + 1, j + 1))
-    vcolor = [None] + [G.color(i) for i in range(m)]
-    return VertexColoredGraph(m, tuple(lg_edges), tuple(vcolor))
 
 
 def split_partition(G: RedBlueGraph):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import Optional
 
 from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, induced_connected
 

@@ -47,9 +47,7 @@ rebuilt everything at every step, which is quadratic in L.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import List
 
 from .graphs import (
     EdgeColor,
@@ -65,38 +63,6 @@ RED, BLUE = EdgeColor.RED, EdgeColor.BLUE
 
 class ShrinkPreconditionError(ValueError):
     """Input is not a valid balanced witness of the required size/kind."""
-
-
-@dataclass(frozen=True)
-class BalanceProfile:
-    """Running red(+1)/blue(-1) totals along a path, in path order.
-
-    Values live in the integers: the construction evaluates -1 on the way to
-    its final zero even though the source declares naturals.
-    """
-
-    values: tuple
-
-    def __post_init__(self):
-        if self.values:
-            if self.values[0] not in (1, -1):
-                raise ValueError("profile must start at +1 or -1")
-            for a, b in zip(self.values, self.values[1:]):
-                if abs(a - b) != 1:
-                    raise ValueError("consecutive profile values must differ by 1")
-
-    def zeros(self) -> List[int]:
-        """1-based positions carrying value 0."""
-        return [i + 1 for i, v in enumerate(self.values) if v == 0]
-
-
-def balance_profile(colors) -> BalanceProfile:
-    vals = []
-    h = 0
-    for c in colors:
-        h += 1 if c is RED else -1
-        vals.append(h)
-    return BalanceProfile(tuple(vals))
 
 
 def _require_valid(G, w, kind, min_size, k, what):

@@ -1,4 +1,4 @@
-"""Reference sieve evaluators, one call per gate through `circuits.walk`.
+"""Reference sieve evaluators, one call per gate through `algebra_reference.walk`.
 
 `eval_fast` is the per-gate program that `bcslab.algebra.mldetect._eval_fast`
 replaced with the level schedule: the same substitution gives the same values,
@@ -9,9 +9,8 @@ coefficient is the sieve's value.
 """
 import numpy as np
 
-from bcslab.algebra.circuits import walk
+from algebra_reference import Backend, Basis, GroupAlgebraElement, ga_multiply, walk
 from bcslab.algebra.field import VecGF
-from bcslab.algebra.group_algebra import Backend, Basis, GroupAlgebraElement, ga_multiply
 
 
 def eval_fast(c, sub) -> np.ndarray:

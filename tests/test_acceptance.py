@@ -13,6 +13,15 @@ from math import comb
 
 import pytest
 
+from algebra_reference import (
+    Backend,
+    Basis,
+    GroupAlgebraElement,
+    change_basis,
+    expand_multilinear,
+    ga_multiply,
+    one_plus_v,
+)
 from bcslab.graphs import (
     EdgeColor,
     RedBlueGraph,
@@ -24,20 +33,7 @@ from bcslab.oracle import SolveMode, all_witness_sets, oracle_solve
 from bcslab.shrink import shrink_path, shrink_subgraph, shrink_to_range, shrink_tree
 from bcslab.splitsolver import solve_split_ebcs
 from bcslab.repsets import solve_ebp_repsets
-from bcslab.algebra.circuits import (
-    build_circuit_ebcs,
-    build_circuit_ebp,
-    build_circuit_ebt,
-    expand_multilinear,
-)
-from bcslab.algebra.group_algebra import (
-    Backend,
-    Basis,
-    GroupAlgebraElement,
-    change_basis,
-    ga_multiply,
-    one_plus_v,
-)
+from bcslab.algebra.circuits import build_circuit_ebcs, build_circuit_ebp, build_circuit_ebt
 from bcslab.algebra.mldetect import randomized_solve, run_trials
 from bcslab.reductions import (
     longest_path_from,

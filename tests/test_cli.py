@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -226,37 +227,43 @@ def test_shrink_deeply_nested_witness_exit_two(tmp_path, capsys):
     assert captured.out == "" and "nested too deeply" in captured.err
 
 
-@pytest.mark.parametrize("value", ["two", "0", "-3", ""])
-def test_bad_threads_exit_two(value, monkeypatch, capsys):
-    monkeypatch.setenv("BCSLAB_THREADS", value)
-    assert main(["crosscheck", "--max-n", "2", "--trials", "2"]) == 2
-    assert "BCSLAB_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("kind", ["subgraph", "tree", "path"])
+def test_algebraic_large_k_on_few_edges_is_no_at_once(kind, tmp_path, capsys):
+    # fewer edges than k: the answer comes before any circuit is built, where
+    # a circuit for k = 400 once ran out of recursion depth
+    p = tmp_path / "tiny.graph"
+    p.write_text("graph 4 3\ne 1 2 R\ne 2 3 B\ne 3 4 R\n")
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["solve", "--algo", "algebraic", "--kind", kind, "-k", "400", str(p)])
+    assert code == 1 and json.loads(out)["answer"] == "no"
+    assert time.perf_counter() - t0 < 1.0
 
 
-def test_threads_capped_at_cpu_count(monkeypatch, capsys):
-    import multiprocessing
+@pytest.mark.parametrize("k", ["2", "4"])
+def test_algebraic_zero_trials_exit_two(k, tri_path, capsys):
+    # checked up front, also where fewer than k edges would answer no (k = 4)
+    assert main(["solve", "--algo", "algebraic", "-k", k, "--trials", "0", tri_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trial" in captured.err
 
-    requested = []
 
-    class FakePool:
-        def __init__(self, processes):
-            requested.append(processes)
+@pytest.mark.parametrize("flag", [["--trials", "5"], ["--delta", "0.1"], ["--ell", "16"],
+                                  ["--witness"]])
+def test_oracle_rejects_flags_it_does_not_read(flag, tri_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--kind", "path", "-k", "2", *flag, tri_path])
+    assert exc.value.code == 2
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, args):
-            return [fn(*a) for a in args]
-
-    monkeypatch.setenv("BCSLAB_THREADS", "64")
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    code, out = _run(capsys, ["crosscheck", "--max-n", "3", "--trials", "4"])
-    assert code == 0 and json.loads(out)["instances"] > 0
-    assert requested == [2]
+def test_oracle_matches_solve_oracle(tri_path, capsys):
+    # one decision path: the same answer and witness as solve --algo oracle
+    for kind in ("subgraph", "tree", "path"):
+        code, out = _run(capsys, ["oracle", "--kind", kind, "-k", "2", tri_path])
+        code2, out2 = _run(capsys, ["solve", "--algo", "oracle", "--kind", kind, "-k", "2",
+                                    tri_path])
+        doc, doc2 = json.loads(out), json.loads(out2)
+        del doc["millis"], doc2["millis"]
+        assert (code, doc) == (code2, doc2) and doc["algo"] == "oracle"
 
 
 def test_shrink_long_alternating_path(tmp_path, capsys):

@@ -12,7 +12,6 @@ from bcslab.graphs import (
     WitnessKind,
     _edge_set_connected,
     bfs,
-    line_graph,
     parse_graph,
     serialize_graph,
     split_partition,
@@ -166,22 +165,25 @@ def test_validate_agrees_with_predicates():
                     assert got == _independent_validate(G, sub, kind, size)
 
 
+def _line_graph(G):
+    """G's line graph as adjacency lists on the edge indices, read from
+    `G.edge_neighbors` as shrink's `_LineTree` and the subgraph builders read it."""
+    return [G.edge_neighbors(e) for e in range(G.m)]
+
+
 def test_line_graph_examples():
-    single = parse_graph("graph 2 1\ne 1 2 R\n")
-    lg = line_graph(single)
-    assert lg.n == 1 and lg.edges == () and lg.vcolor[1] is EdgeColor.RED
-    p2 = path_graph([R, B])
-    lg = line_graph(p2)
-    assert lg.n == 2 and lg.edges == ((1, 2),)
+    assert _line_graph(parse_graph("graph 2 1\ne 1 2 R\n")) == [[]]
+    assert _line_graph(path_graph([R, B])) == [[1], [0]]
+    assert _line_graph(path_graph([R, B, R])) == [[1], [0, 2], [1]]
     tri = parse_graph("graph 3 3\ne 1 2 R\ne 2 3 B\ne 1 3 R\n")
-    lg = line_graph(tri)
-    assert lg.n == 3 and len(lg.edges) == 3
+    assert _line_graph(tri) == [[1, 2], [0, 2], [0, 1]]
 
 
 def test_line_graph_connectivity_preserved():
     # connected G without isolated vertices <-> connected L(G)
-    for seed in range(30):
-        g = random_redblue(6, 0.5, seed + 100)
+    seen_both = set()
+    for p, seed in itertools.product((0.3, 0.5), range(30)):
+        g = random_redblue(6, p, seed + 100)
         if g.m == 0:
             continue
         touched = set()
@@ -189,20 +191,7 @@ def test_line_graph_connectivity_preserved():
             touched |= {u, v}
         if len(touched) != g.n:
             continue
-        lg = line_graph(g)
-        adj = {v: set() for v in range(1, lg.n + 1)}
-        for a, b in lg.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {1}
-        stack = [1]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        lg_connected = len(seen) == lg.n
+        lg_connected = len(bfs(0, _line_graph(g))) == g.m
         comp = {g.edges[0][0]}
         changed = True
         while changed:
@@ -211,9 +200,10 @@ def test_line_graph_connectivity_preserved():
                 if (u in comp) != (v in comp):
                     comp |= {u, v}
                     changed = True
-        g_connected = comp == touched and len(touched) == g.n
-        if g_connected:
-            assert lg_connected
+        g_connected = comp == touched
+        assert g_connected == lg_connected, (p, seed)
+        seen_both.add(g_connected)
+    assert seen_both == {True, False}
 
 
 def test_split_partition_recognition():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mldetect_reference as ref
+from algebra_reference import expand_multilinear
 from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph, validate_witness
 from bcslab.oracle import oracle_solve
 from bcslab.algebra.circuits import MUL, SUM, Circuit, build_circuit_ebp
@@ -75,8 +76,6 @@ def test_detect_makes_no_pass_besides_evaluation():
 
 def test_output_read_by_a_later_gate():
     # the walk keeps the output's value past the last gate that reads it
-    from bcslab.algebra.circuits import expand_multilinear
-
     c = _tiny([("in", ("x", 1)), ("in", ("x", 2)), ("mul", 0, 1), ("add", 2, 2)], 2, 2)
     assert run_trials(c, 2, 64, 4, seed=1).all()
     assert expand_multilinear(c, 2) == {frozenset({("x", 1), ("x", 2)}): 1}
@@ -147,6 +146,20 @@ def test_witness_extraction():
 def test_default_trials():
     ans = randomized_solve(TRI, 2, WitnessKind.SUBGRAPH, seed=5)
     assert isinstance(ans, RandomizedAnswer) and ans.yes
+
+
+def test_randomized_solve_checks_before_building(monkeypatch):
+    # bad arguments raise, and fewer edges than k answer no, with no circuit built
+    built = []
+    for kind, (build, extra) in list(_BUILDERS.items()):
+        monkeypatch.setitem(_BUILDERS, kind, (lambda *a, b=build: built.append(a) or b(*a), extra))
+    for k in (2, 4):  # TRI has 3 edges
+        for bad in ({"trials": 0}, {"ell": 20}):
+            with pytest.raises(ValueError):
+                randomized_solve(TRI, k, WitnessKind.PATH, **bad)
+    for kind in WitnessKind:
+        assert randomized_solve(TRI, 400, kind, want_witness=True) == RandomizedAnswer(False, None)
+    assert built == []
 
 
 def test_substitution_shapes():

@@ -9,9 +9,7 @@ import pytest
 from bcslab.graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, validate_witness
 from bcslab import shrink
 from bcslab.shrink import (
-    BalanceProfile,
     ShrinkPreconditionError,
-    balance_profile,
     shrink_path,
     shrink_subgraph,
     shrink_to_range,
@@ -19,21 +17,6 @@ from bcslab.shrink import (
 )
 
 from conftest import B, R, path_graph, random_redblue
-
-
-def test_profile_values():
-    prof = balance_profile([R, B, B, R])
-    assert prof.values == (1, 0, -1, 0)
-    assert prof.zeros() == [2, 4]
-    prof = balance_profile([R, R, B, B, R, B])
-    assert prof.values == (1, 2, 1, 0, 1, 0)
-
-
-def test_profile_invariants_enforced():
-    with pytest.raises(ValueError):
-        BalanceProfile((2, 1))
-    with pytest.raises(ValueError):
-        BalanceProfile((1, 3))
 
 
 def test_shrink_path_terminal_case():
