@@ -21,8 +21,6 @@ from .shrink import (
 )
 from .splitsolver import NotASplitGraphError, solve_split_ebcs
 from .colorcoding import (
-    EdgeColoring,
-    VertexColoring,
     colorful_bcs_dp,
     colorful_bt_dp,
     colorful_ebp_dp,

@@ -100,6 +100,9 @@ def cmd_oracle(args) -> int:
     """`solve --algo oracle`, or with --count the number of witnesses."""
     if not args.count:
         return cmd_solve(args)
+    if args.mode != "exact":
+        raise ValueError("oracle --count counts witnesses of exactly k edges; "
+                         "--mode atleast does not apply")
     G = _load_graph(args.graph)
     c = oracle_count(G, args.k, KINDS[args.kind], budget=args.budget)
     _emit({"format": 1, "count": c, "kind": args.kind, "k": args.k})

@@ -1,13 +1,14 @@
 """Colorful dynamic programs and coloring-family drivers.
 
 An edge coloring sigma: E -> [k] (or vertex coloring tau: V -> [k+1]) turns
-the balanced search into a colorful one: the DPs below decide whether some
-balanced structure uses every label exactly once, in time ~ 4^k, and
-rebuild a witness by walking back through their tables. Two drivers lift the
-colorful DPs back to the uncolored problems: a Monte Carlo loop with
-ceil(e^k ln(1/delta)) uniformly random colorings, and a greedy-cover hash
-family that is exact at test scale (Alon, Yuster, Zwick, "Color-coding",
-JACM 1995).
+the balanced search into a colorful one. A coloring is a row, a plain tuple
+of labels: sigma(e) at row[e] for edge e, tau(v) at row[v - 1] for vertex v.
+The DPs below decide whether some balanced structure uses every label
+exactly once, in time ~ 4^k, and rebuild a witness by walking back through
+their tables. Two drivers lift the colorful DPs back to the uncolored
+problems: a Monte Carlo loop with ceil(e^k ln(1/delta)) uniformly random
+colorings, and a greedy-cover hash family that is exact at test scale (Alon,
+Yuster, Zwick, "Color-coding", JACM 1995).
 
 A label set is a bitmask (label i occupies bit i-1). A table cell, one per
 anchor and (red, blue) edge count, is a Python int whose bit L is set when
@@ -22,66 +23,27 @@ holds every label, and the witness walk. A DP only gives its level-0 cells,
 the step that makes a row of the next level from the one below, and the walk
 step that splits a popped cell into its children.
 
-The path DP decides a batch of colorings in one pass, one coloring being the
-one-lane case: a cell holds one lane of 2^(k+1) bits per coloring, and since
-the path recurrence has no disjoint-union join, no step moves a bit from one
-lane to another. The witness is walked in the lowest hitting lane. The
-drivers run their path colorings in batches that double from one coloring
-up to _LANE_BYTES per cell, in the order they draw them, so the first batch
-with a hit gives the first coloring with a witness, and its witness. Tree
-and subgraph colorings run one at a time, since their joins walk each cell's
-own label sets.
+The path DP decides a batch of colorings, a tuple of rows, in one pass, one
+coloring being the one-lane case: a cell holds one lane of 2^(k+1) bits per
+coloring, and since the path recurrence has no disjoint-union join, no step
+moves a bit from one lane to another. It answers the index of the first
+hitting row with the witness walked in that lane, or None. The drivers run
+their path colorings in batches that double from one coloring up to
+_LANE_BYTES per cell, in the order they draw them, so the first batch with a
+hit gives the first coloring with a witness, and its witness. Tree and
+subgraph colorings run one at a time, since their joins walk each cell's own
+label sets.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from typing import Optional
 
 from .graphs import (EdgeColor, RedBlueGraph, Witness, WitnessKind, count_level, count_splits,
                      require_even_k)
-
-
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Total map edge index -> label in [k]."""
-
-    k: int
-    labels: tuple
-
-    def __post_init__(self):
-        if any(not (1 <= l <= self.k) for l in self.labels):
-            raise ValueError("edge labels must lie in 1..k")
-
-
-@dataclass(frozen=True)
-class VertexColoring:
-    """Total map vertex -> label in [k+1]; labels[0] unused."""
-
-    k: int
-    labels: tuple
-
-    def __post_init__(self):
-        if any(not (1 <= l <= self.k + 1) for l in self.labels[1:]):
-            raise ValueError("vertex labels must lie in 1..k+1")
-
-
-@dataclass(frozen=True)
-class VertexColorings:
-    """A batch of vertex colorings: rows[c][v - 1] is vertex v's label in [k+1]
-    under coloring c. Checks each row with one min and one max."""
-
-    k: int
-    rows: tuple
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("a batch holds at least one coloring")
-        if any(row and (min(row) < 1 or max(row) > self.k + 1) for row in self.rows):
-            raise ValueError("vertex labels must lie in 1..k+1")
 
 
 MAX_LABELS = 20
@@ -108,18 +70,28 @@ def _keep_masks(labels: int) -> tuple:
     return tuple(keep)
 
 
-def _label_masks(coloring, k: int, size: int) -> tuple:
-    """(keep, disjoint, bit, lacks), once k is even and coloring is k labels on
-    G's m edges (size = m) or k + 1 on its vertices (size = n + 1): the keep
-    masks, a fresh _disjoint_from memo, and per element its label's bit (0 for
-    the unlabelled vertex 0) and the keep mask of the sets that lack it."""
+def _check_rows(rows: tuple, k: int, size: int, labels: int) -> None:
+    """Raises ValueError unless k is even and rows is a non-empty batch of
+    rows of length size (G's m edges or n vertices) over labels 1..labels."""
     require_even_k(k)
-    if coloring.k != k or len(coloring.labels) != size:
-        raise ValueError(f"{type(coloring).__name__} does not match (G, k)")
-    labels = k if type(coloring) is EdgeColoring else k + 1
+    if not rows:
+        raise ValueError("a batch holds at least one coloring")
+    for row in rows:
+        if len(row) != size:
+            raise ValueError("coloring does not match (G, k)")
+        if row and (min(row) < 1 or max(row) > labels):
+            raise ValueError("edge labels must lie in 1..k" if labels == k else
+                             "vertex labels must lie in 1..k+1")
+
+
+def _label_masks(row: tuple, k: int, size: int, labels: int) -> tuple:
+    """(keep, disjoint, bit, lacks) for one row, once _check_rows passes it:
+    the keep masks, a fresh _disjoint_from memo, and per element its label's
+    bit and the keep mask of the sets that lack it."""
+    _check_rows((row,), k, size, labels)
     keep = _keep_masks(labels)
-    return (keep, {0: (1 << (1 << labels)) - 1}, [1 << l >> 1 for l in coloring.labels],
-            [keep[l - 1] for l in coloring.labels])
+    return (keep, {0: (1 << (1 << labels)) - 1}, [1 << l >> 1 for l in row],
+            [keep[l - 1] for l in row])
 
 
 def _disjoint_from(L: int, disjoint: dict, keep: tuple) -> int:
@@ -232,14 +204,15 @@ def _frame(kind: WitnessKind, k: int, full: int, base: list, below, step, childr
     return (full & (1 << L) - 1).bit_count(), Witness(kind, tuple(sorted(out)))
 
 
-def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
+def colorful_bcs_dp(G: RedBlueGraph, labels: tuple, k: int,
                     stats: Optional[dict] = None) -> Optional[Witness]:
-    """[k]-edge-colorful balanced connected subgraph of size k, if any.
+    """[k]-edge-colorful balanced connected subgraph of size k, if any, where
+    labels[e] in 1..k is edge e's label.
 
     stats["entries"], when given, counts the (anchor, r, b, label set)
     entries the table reached.
     """
-    keep, disjoint, bit, lacks = _label_masks(sigma, k, G.m)
+    keep, disjoint, bit, lacks = _label_masks(labels, k, G.m, k)
     ends, reds, blues = G._edge_lists
     # cells[r][b][e]: label sets of connected subgraphs with r red and b blue
     # edges that contain e. near[r][b][e]: those that contain an edge at an
@@ -282,9 +255,11 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
                   stats)[1]
 
 
-def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
-    """[k+1]-vertex-colorful balanced tree with k edges, if any."""
-    keep, disjoint, bit, lacks = _label_masks(tau, k, G.n + 1)
+def colorful_bt_dp(G: RedBlueGraph, labels: tuple, k: int) -> Optional[Witness]:
+    """[k+1]-vertex-colorful balanced tree with k edges, if any, where
+    labels[v - 1] in 1..k+1 is vertex v's label."""
+    keep, disjoint, bit, lacks = _label_masks(labels, k, G.n, k + 1)
+    bit, lacks = [0] + bit, [0] + lacks  # vertex v at index v
     ends, reds, blues = G._edge_lists
     # cells[r][b][e]: vertex label sets of colorful trees with r red and b blue
     # edges that contain e; at[r][b][x]: the union over the edges at x. A tree
@@ -326,12 +301,11 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
                   lambda row: _vertex_unions(G.n, ends, row), step, children)[1]
 
 
-def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: int):
-    """[k+1]-vertex-colorful balanced path with k edges, if any.
-
-    tau is one VertexColoring, and the answer its witness or None; or a
-    VertexColorings batch, and the answer (index, witness) for its first
-    coloring that has such a path, or None.
+def colorful_ebp_dp(G: RedBlueGraph, rows: tuple, k: int) -> Optional[tuple]:
+    """[k+1]-vertex-colorful balanced path with k edges, if any, for a batch
+    of colorings: rows[c][v - 1] in 1..k+1 is vertex v's label under coloring
+    c. The answer is (c, witness) for the first coloring c that has such a
+    path, or None.
 
     Every coloring is a lane of W = 2^(k+1) bits in each cell, lane c at bits
     c*W..c*W + W - 1 (one coloring is the one-lane case). Nothing in the path
@@ -340,12 +314,7 @@ def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: i
     (acc & M[v][l]) << 2^(l-1) per label l that v carries in the batch, where
     M[v][l] holds keep[l-1] in exactly the lanes whose coloring gives v label l.
     """
-    require_even_k(k)
-    batch = type(tau) is VertexColorings
-    rows = tau.rows if batch else (tau.labels[1:],)
-    sizes = set(map(len, rows)) if batch else {len(tau.labels) - 1}
-    if tau.k != k or sizes != {G.n}:
-        raise ValueError(f"{type(tau).__name__} does not match (G, k)")
+    _check_rows(rows, k, G.n, k + 1)
     labels, lanes = k + 1, len(rows)
     keep = _keep_masks(labels)
     stride = 1 << labels >> 3  # bytes per lane
@@ -408,7 +377,7 @@ def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring | VertexColorings, k: i
 
     # the full label set is each lane's top bit
     lane, w = _frame(WitnessKind.PATH, k, ones << (1 << labels) - 1, base, None, step, children)
-    return (lane, w) if batch and w is not None else w
+    return None if w is None else (lane, w)
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +468,11 @@ def colorful_dp(G: RedBlueGraph, k: int, kind: WitnessKind, labels: tuple) -> Op
     Looks the DP up in this module at each call, so a rebound colorful_*_dp is used.
     """
     if kind is WitnessKind.SUBGRAPH:
-        return colorful_bcs_dp(G, EdgeColoring(k, labels), k)
-    tau = VertexColoring(k, (0,) + labels)
+        return colorful_bcs_dp(G, labels, k)
     if kind is WitnessKind.TREE:
-        return colorful_bt_dp(G, tau, k)
-    return colorful_ebp_dp(G, tau, k)
+        return colorful_bt_dp(G, labels, k)
+    hit = colorful_ebp_dp(G, (labels,), k)
+    return hit and hit[1]
 
 
 def _first_witness(G: RedBlueGraph, k: int, kind: WitnessKind, colorings) -> Optional[Witness]:
@@ -520,7 +489,7 @@ def _first_witness(G: RedBlueGraph, k: int, kind: WitnessKind, colorings) -> Opt
     cap = max(1, _LANE_BYTES << 3 >> (k + 1)) if kind is WitnessKind.PATH else 1
     while rows := tuple(islice(colorings, lanes)):
         if kind is WitnessKind.PATH:
-            hit = colorful_ebp_dp(G, VertexColorings(k, rows), k)
+            hit = colorful_ebp_dp(G, rows, k)
             w = hit and hit[1]
         else:
             w = colorful_dp(G, k, kind, rows[0])

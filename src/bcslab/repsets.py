@@ -28,6 +28,14 @@ from typing import Optional
 
 from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, count_level, require_even_k
 
+# The largest k solve_ebp_repsets admits. A level-p family reduces minor
+# vectors of C(k+1, p) coordinates, so the widest has C(k+1, (k+1) // 2): 1,716
+# at k = 12, 6,435 at k = 14 and 24,310 at k = 16. On a 60-edge path, whose
+# families hold one set each, the solve took 1.6, 8.3 and 39 s of CPU at these
+# k on a 2-vCPU x86-64 VM. Denser graphs hold larger families: a 30-vertex,
+# 43-edge random graph took 13 s at k = 10 and over 60 s at k = 12.
+MAX_K = 14
+
 
 @dataclass(frozen=True)
 class SetFamily:
@@ -165,10 +173,17 @@ def solve_ebp_repsets(
 ) -> Optional[Witness]:
     """Exact balanced path of size k via representative-family DP.
 
-    When `record` is a list, every reduction appends
-    (u, v, r, b, candidate_family, reduced_family) for property checks.
+    A graph with fewer than k edges or k + 1 vertices holds no such path, and
+    is answered None before anything is built; otherwise a k past MAX_K
+    raises ValueError. When `record` is a list, every reduction appends
+    (u, v, r, b, candidate_family, reduced_family) for property checks; such
+    a run skips the screen, so that it records every level it can build.
     """
     require_even_k(k)
+    if record is None and (G.m < k or G.n < k + 1):
+        return None
+    if k > MAX_K:
+        raise ValueError(f"k = {k} is past the repsets solver's cap of k = {MAX_K}")
     half = k // 2
     k_cap = k + 1
     # (r, b) -> {(u, v): SetFamily}, in (u, v) order from level 2 on; a non-empty

@@ -6,7 +6,6 @@ same decisions, same `stats["entries"]`, and for paths the same witness.
 """
 from typing import Optional
 
-from bcslab.colorcoding import EdgeColoring, VertexColoring
 from bcslab.graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, require_even_k
 
 
@@ -22,16 +21,17 @@ def _merge_cells(table, anchors, key_rb):
     return merged
 
 
-def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
+def colorful_bcs_dp(G: RedBlueGraph, labels: tuple, k: int,
                     stats: Optional[dict] = None) -> Optional[Witness]:
-    """[k]-edge-colorful balanced connected subgraph of size k, if any."""
+    """[k]-edge-colorful balanced connected subgraph of size k, if any;
+    labels[e] is edge e's label."""
     require_even_k(k)
-    if sigma.k != k or len(sigma.labels) != G.m:
+    if len(labels) != G.m:
         raise ValueError("edge coloring does not match (G, k)")
     if k > 62:
         raise ValueError("k too large for bitmask labels")
     half = k // 2
-    sbit = [1 << (l - 1) for l in sigma.labels]
+    sbit = [1 << (l - 1) for l in labels]
     nbrs = [G.edge_neighbors(e) for e in range(G.m)]
     red = [G.color(e) is EdgeColor.RED for e in range(G.m)]
 
@@ -114,15 +114,16 @@ def colorful_bcs_dp(G: RedBlueGraph, sigma: EdgeColoring, k: int,
     return None
 
 
-def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
-    """[k+1]-vertex-colorful balanced tree with k edges, if any."""
+def colorful_bt_dp(G: RedBlueGraph, labels: tuple, k: int) -> Optional[Witness]:
+    """[k+1]-vertex-colorful balanced tree with k edges, if any; labels[v - 1]
+    is vertex v's label."""
     require_even_k(k)
-    if tau.k != k or len(tau.labels) != G.n + 1:
+    if len(labels) != G.n:
         raise ValueError("vertex coloring does not match (G, k)")
     if k + 1 > 62:
         raise ValueError("k too large for bitmask labels")
     half = k // 2
-    vbit = [0] + [1 << (l - 1) for l in tau.labels[1:]]
+    vbit = [0] + [1 << (l - 1) for l in labels]
     red = [G.color(e) is EdgeColor.RED for e in range(G.m)]
     # neighbors of edge e incident to a given endpoint
     at = []  # at[e] = (edges at u other than e, edges at v other than e)
@@ -223,15 +224,16 @@ def colorful_bt_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Wit
     return None
 
 
-def colorful_ebp_dp(G: RedBlueGraph, tau: VertexColoring, k: int) -> Optional[Witness]:
-    """[k+1]-vertex-colorful balanced path with k edges, if any."""
+def colorful_ebp_dp(G: RedBlueGraph, labels: tuple, k: int) -> Optional[Witness]:
+    """[k+1]-vertex-colorful balanced path with k edges, if any, under one
+    coloring; labels[v - 1] is vertex v's label."""
     require_even_k(k)
-    if tau.k != k or len(tau.labels) != G.n + 1:
+    if len(labels) != G.n:
         raise ValueError("vertex coloring does not match (G, k)")
     if k + 1 > 62:
         raise ValueError("k too large for bitmask labels")
     half = k // 2
-    vbit = [0] + [1 << (l - 1) for l in tau.labels[1:]]
+    vbit = [0] + [1 << (l - 1) for l in labels]
 
     table = {}  # (v, r, b) -> {Lmask: backptr}; paths ending at v
     for v in range(1, G.n + 1):

@@ -371,12 +371,12 @@ def test_criterion_6_reduction_equivalence():
 
 
 def test_criterion_7_scaling_smoke():
-    from bcslab.colorcoding import EdgeColoring, colorful_bcs_dp
+    from bcslab.colorcoding import colorful_bcs_dp
 
     # colorful DP, single coloring, n=30, k=10
     G = random_graph(30, 0.25, 42)
     rng = random.Random(7)
-    sig = EdgeColoring(10, tuple(rng.randrange(1, 11) for _ in range(G.m)))
+    sig = tuple(rng.randrange(1, 11) for _ in range(G.m))
     t0 = time.perf_counter()
     colorful_bcs_dp(G, sig, 10)
     dp_s = time.perf_counter() - t0
@@ -393,8 +393,9 @@ def test_criterion_7_scaling_smoke():
     full_s = time.perf_counter() - t0
     assert dec_s < 60.0 and full_s < 60.0, (dec_s, full_s)
 
-    # bench growth ratios for the algebraic engine, k -> k+2 within [1.5, 4]
-    rows = bench_rows("algebraic", "path", [4, 6, 8], 30, 0.1, 11, 5, trials=4, ell=16)
+    # bench growth ratios for the algebraic engine, k -> k+2 within [1.5, 4];
+    # a row's median moves only when 11 of its 21 runs are slow
+    rows = bench_rows("algebraic", "path", [4, 6, 8], 30, 0.1, 11, 21, trials=4, ell=16)
     meds = [r[5] for r in rows]
     ratios = [meds[i + 1] / meds[i] for i in range(len(meds) - 1)]
     assert all(1.5 <= r <= 4.0 for r in ratios), ratios

@@ -5,10 +5,10 @@ import bcslab
 # The package's public names: what a solver or the CLI runs. Reference algebra
 # that only tests call lives in tests/algebra_reference.py.
 PUBLIC = [
-    "Circuit", "EdgeColor", "EdgeColoring", "GeneratedInstance", "NotASplitGraphError",
+    "Circuit", "EdgeColor", "GeneratedInstance", "NotASplitGraphError",
     "OracleBudgetError", "RandomizedAnswer", "RedBlueGraph", "SetFamily",
     "ShrinkPreconditionError", "SolveMode", "Substitution", "ValidationReport",
-    "VertexColoring", "Witness", "WitnessExtractionError", "WitnessKind",
+    "Witness", "WitnessExtractionError", "WitnessKind",
     "build_circuit_ebcs", "build_circuit_ebp", "build_circuit_ebt", "colorful_bcs_dp",
     "colorful_bt_dp", "colorful_ebp_dp", "convolve_extend", "detect_multilinear",
     "family_driver", "greedy_hash_family", "longest_path_from", "longest_path_split_to_ebp",

@@ -239,6 +239,57 @@ def test_algebraic_large_k_on_few_edges_is_no_at_once(kind, tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def _path_file(tmp_path, edges):
+    p = tmp_path / "path.graph"
+    p.write_text(f"graph {edges + 1} {edges}\n" + "".join(
+        f"e {i + 1} {i + 2} {'RB'[i % 2]}\n" for i in range(edges)))
+    return str(p)
+
+
+def test_algebraic_k_past_cap_exit_two(tmp_path, capsys):
+    # enough edges for k = 400, which once ran the builders out of recursion
+    # depth: past the sieve's k cap the answer is an error that names the cap
+    from bcslab.algebra.mldetect import MAX_K
+
+    p = _path_file(tmp_path, 401)
+    t0 = time.perf_counter()
+    code = main(["solve", "--algo", "algebraic", "--kind", "path", "-k", "400", p])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"cap of k = {MAX_K}" in captured.err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_repsets_large_k_on_few_edges_is_no_at_once(tmp_path, capsys):
+    # fewer edges than k: no before any wedge is built
+    p = tmp_path / "tiny.graph"
+    p.write_text("graph 4 3\ne 1 2 R\ne 2 3 B\ne 3 4 R\n")
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["solve", "--algo", "repsets", "--kind", "path", "-k", "64", str(p)])
+    assert code == 1 and json.loads(out)["answer"] == "no"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_repsets_k_past_cap_exit_two(tmp_path, capsys):
+    from bcslab.repsets import MAX_K
+
+    p = _path_file(tmp_path, 60)
+    t0 = time.perf_counter()
+    code = main(["solve", "--algo", "repsets", "--kind", "path", "-k", "40", p])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"cap of k = {MAX_K}" in captured.err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_oracle_count_atleast_exit_two(tri_path, capsys):
+    # the count is of witnesses of exactly k edges
+    code = main(["oracle", "--kind", "subgraph", "-k", "2", "--count", "--mode", "atleast",
+                 tri_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "--mode atleast" in captured.err
+
+
 @pytest.mark.parametrize("k", ["2", "4"])
 def test_algebraic_zero_trials_exit_two(k, tri_path, capsys):
     # checked up front, also where fewer than k edges would answer no (k = 4)

@@ -12,9 +12,6 @@ from bcslab.graphs import RedBlueGraph, WitnessKind, parse_graph, validate_witne
 from bcslab.oracle import all_witness_sets, oracle_solve
 from bcslab import colorcoding
 from bcslab.colorcoding import (
-    EdgeColoring,
-    VertexColoring,
-    VertexColorings,
     colorful_bcs_dp,
     colorful_bt_dp,
     colorful_ebp_dp,
@@ -28,28 +25,35 @@ from conftest import B, R, path_graph, random_redblue
 TRI = parse_graph("graph 3 3\ne 1 2 R\ne 2 3 B\ne 1 3 R\n")
 
 
+def _one_path(g, tau, k):
+    """colorful_ebp_dp on the one-row batch (tau,): the witness, or None."""
+    hit = colorful_ebp_dp(g, (tau,), k)
+    assert hit is None or hit[0] == 0
+    return hit and hit[1]
+
+
 def test_bcs_dp_examples():
-    w = colorful_bcs_dp(TRI, EdgeColoring(2, (1, 2, 1)), 2)
+    w = colorful_bcs_dp(TRI, (1, 2, 1), 2)
     assert w is not None and sorted(w.edge_indices) == [0, 1]
-    assert colorful_bcs_dp(TRI, EdgeColoring(2, (1, 1, 1)), 2) is None
+    assert colorful_bcs_dp(TRI, (1, 1, 1), 2) is None
     single = path_graph([R])
-    assert colorful_bcs_dp(single, EdgeColoring(2, (1,)), 2) is None
+    assert colorful_bcs_dp(single, (1,), 2) is None
 
 
 def test_bt_dp_examples():
     pg = path_graph([R, B])
-    assert colorful_bt_dp(pg, VertexColoring(2, (0, 1, 2, 3)), 2) is not None
-    assert colorful_bt_dp(pg, VertexColoring(2, (0, 1, 2, 1)), 2) is None
+    assert colorful_bt_dp(pg, (1, 2, 3), 2) is not None
+    assert colorful_bt_dp(pg, (1, 2, 1), 2) is None
     allred = path_graph([R, R])
-    assert colorful_bt_dp(allred, VertexColoring(2, (0, 1, 2, 3)), 2) is None
+    assert colorful_bt_dp(allred, (1, 2, 3), 2) is None
 
 
 def test_ebp_dp_examples():
     pg = path_graph([R, B])
-    w = colorful_ebp_dp(pg, VertexColoring(2, (0, 1, 2, 3)), 2)
-    assert w is not None and sorted(w.edge_indices) == [0, 1]
+    hit = colorful_ebp_dp(pg, ((1, 2, 3),), 2)
+    assert hit is not None and hit[0] == 0 and sorted(hit[1].edge_indices) == [0, 1]
     c4 = parse_graph("graph 4 4\ne 1 2 R\ne 2 3 B\ne 3 4 R\ne 4 1 B\n")
-    assert colorful_ebp_dp(c4, VertexColoring(4, (0, 1, 2, 3, 4)), 4) is None
+    assert colorful_ebp_dp(c4, ((1, 2, 3, 4),), 4) is None
 
 
 def test_dp_witnesses_are_colorful():
@@ -59,21 +63,20 @@ def test_dp_witnesses_are_colorful():
         if g.m < 4:
             continue
         k = 4
-        sig = EdgeColoring(k, tuple(rng.randrange(1, k + 1) for _ in range(g.m)))
+        sig = tuple(rng.randrange(1, k + 1) for _ in range(g.m))
         w = colorful_bcs_dp(g, sig, k)
         if w is not None:
             assert validate_witness(g, w, k).valid
-            assert len({sig.labels[i] for i in w.edge_indices}) == k
-        tau = VertexColoring(k, (0,) + tuple(rng.randrange(1, k + 2) for _ in range(g.n)))
-        for dp in (colorful_bt_dp, colorful_ebp_dp):
-            w = dp(g, tau, k)
+            assert len({sig[i] for i in w.edge_indices}) == k
+        tau = tuple(rng.randrange(1, k + 2) for _ in range(g.n))
+        for w in (colorful_bt_dp(g, tau, k), _one_path(g, tau, k)):
             if w is not None:
                 assert validate_witness(g, w, k).valid
                 verts = set()
                 for i in w.edge_indices:
                     u, v, _ = g.edges[i]
                     verts |= {u, v}
-                assert len({tau.labels[v] for v in verts}) == k + 1
+                assert len({tau[v - 1] for v in verts}) == k + 1
 
 
 def test_dp_completeness_under_injectivity():
@@ -88,7 +91,7 @@ def test_dp_completeness_under_injectivity():
             labels = [1] * g.m
             for lab, e in enumerate(target, start=1):
                 labels[e] = lab
-            w = colorful_bcs_dp(g, EdgeColoring(k, tuple(labels)), k)
+            w = colorful_bcs_dp(g, tuple(labels), k)
             assert w is not None
 
 
@@ -99,7 +102,7 @@ def test_table_size_bound():
         if g.m < 4:
             continue
         k = 4
-        sig = EdgeColoring(k, tuple((i % k) + 1 for i in range(g.m)))
+        sig = tuple((i % k) + 1 for i in range(g.m))
         stats = {}
         colorful_bcs_dp(g, sig, k, stats=stats)
         assert stats["entries"] <= g.m * k * k * (1 << k)
@@ -108,10 +111,10 @@ def test_table_size_bound():
 def _assert_colorful(g, w, k, sigma=None, tau=None):
     assert validate_witness(g, w, k).valid
     if sigma is not None:
-        assert len({sigma.labels[i] for i in w.edge_indices}) == k
+        assert len({sigma[i] for i in w.edge_indices}) == k
     else:
         verts = {x for i in w.edge_indices for x in g.edges[i][:2]}
-        assert len({tau.labels[x] for x in verts}) == k + 1
+        assert len({tau[x - 1] for x in verts}) == k + 1
 
 
 def _check_against_reference(g, k, sigma, tau):
@@ -130,7 +133,7 @@ def _check_against_reference(g, k, sigma, tau):
     if w is not None:
         _assert_colorful(g, w, k, tau=tau)
         assert colorful_bt_dp(g, tau, k) == w
-    w = colorful_ebp_dp(g, tau, k)
+    w = _one_path(g, tau, k)
     assert w == ref.colorful_ebp_dp(g, tau, k)
     found.append(w is not None)
     if w is not None:
@@ -148,7 +151,7 @@ def colored_graphs(draw):
     k = draw(st.sampled_from([2, 4, 6]))
     sigma = draw(st.lists(st.integers(1, k), min_size=g.m, max_size=g.m))
     tau = draw(st.lists(st.integers(1, k + 1), min_size=n, max_size=n))
-    return g, k, EdgeColoring(k, tuple(sigma)), VertexColoring(k, (0,) + tuple(tau))
+    return g, k, tuple(sigma), tuple(tau)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,8 +166,8 @@ def test_bitset_dps_match_reference_seeded():
     for _ in range(150):
         g = random_redblue(rng.randrange(4, 10), rng.choice([0.4, 0.7]), rng.randrange(10**6))
         for k in (2, 4, 6):
-            sigma = EdgeColoring(k, tuple(rng.randrange(1, k + 1) for _ in range(g.m)))
-            tau = VertexColoring(k, (0,) + tuple(rng.randrange(1, k + 2) for _ in range(g.n)))
+            sigma = tuple(rng.randrange(1, k + 1) for _ in range(g.m))
+            tau = tuple(rng.randrange(1, k + 2) for _ in range(g.n))
             for i, hit in enumerate(_check_against_reference(g, k, sigma, tau)):
                 found[i] += hit
     assert min(found) >= 50  # every DP rebuilt many witnesses
@@ -173,13 +176,14 @@ def test_bitset_dps_match_reference_seeded():
 def test_label_cap():
     g = path_graph([R, B])
     with pytest.raises(ValueError, match="too large"):
-        colorful_bcs_dp(g, EdgeColoring(22, (1, 2)), 22)
-    for dp in (colorful_bt_dp, colorful_ebp_dp):
-        with pytest.raises(ValueError, match="too large"):
-            dp(g, VertexColoring(20, (0, 1, 2, 3)), 20)
+        colorful_bcs_dp(g, (1, 2), 22)
+    with pytest.raises(ValueError, match="too large"):
+        colorful_bt_dp(g, (1, 2, 3), 20)
+    with pytest.raises(ValueError, match="too large"):
+        colorful_ebp_dp(g, ((1, 2, 3),), 20)
     # 20 labels is the widest cell
-    assert colorful_bcs_dp(g, EdgeColoring(20, (1, 2)), 20) is None
-    assert colorful_ebp_dp(g, VertexColoring(18, (0, 1, 2, 3)), 18) is None
+    assert colorful_bcs_dp(g, (1, 2), 20) is None
+    assert colorful_ebp_dp(g, ((1, 2, 3),), 18) is None
 
 
 @pytest.mark.parametrize("labels,size", [(1, 5), (2, 9), (3, 12), (5, 20), (7, 12), (8, 10),
@@ -203,15 +207,37 @@ def test_lane_batch_checks_every_row():
             rows = [good, good, good]
             rows[at] = (1, bad, 2, 3)
             with pytest.raises(ValueError, match="vertex labels must lie in 1..k\\+1"):
-                colorful_ebp_dp(g, VertexColorings(2, tuple(rows)), 2)
+                colorful_ebp_dp(g, tuple(rows), 2)
     with pytest.raises(ValueError, match="at least one"):
-        VertexColorings(2, ())
+        colorful_ebp_dp(g, (), 2)
     with pytest.raises(ValueError, match="does not match"):
-        colorful_ebp_dp(g, VertexColorings(2, (good, (1, 2, 3))), 2)
-    with pytest.raises(ValueError, match="does not match"):
-        colorful_ebp_dp(g, VertexColorings(4, (good,)), 2)
-    assert colorful_ebp_dp(g, VertexColorings(2, ((1, 1, 2, 2), good, good)), 2) == (
-        1, ref.colorful_ebp_dp(g, VertexColoring(2, (0,) + good), 2))
+        colorful_ebp_dp(g, (good, (1, 2, 3)), 2)
+    assert colorful_ebp_dp(g, ((1, 1, 2, 2), good, good), 2) == (
+        1, ref.colorful_ebp_dp(g, good, 2))
+
+
+@pytest.mark.parametrize("case", ["empty batch", "wrong length", "label 0",
+                                  "label one past the top"])
+@pytest.mark.parametrize("dp", [colorful_bcs_dp, colorful_bt_dp, colorful_ebp_dp])
+def test_dps_reject_bad_colorings(dp, case):
+    # one check for the three DPs: a subgraph or tree call takes one row, so
+    # an empty batch is an empty row there; a path call takes a batch, checked
+    # row by row behind a good one
+    g, k = path_graph([R, B, R]), 2
+    size, top = (g.m, k) if dp is colorful_bcs_dp else (g.n, k + 1)
+    good = tuple(i % top + 1 for i in range(size))
+    bad = {"empty batch": (), "wrong length": good[:-1], "label 0": (0,) + good[1:],
+           "label one past the top": good[:-1] + (top + 1,)}[case]
+    if dp is colorful_ebp_dp:
+        dp(g, (good,), k)
+        arg, empty = (good, bad) if bad else (), "at least one coloring"
+    else:
+        dp(g, good, k)
+        arg, empty = bad, "does not match"
+    match = {"empty batch": empty, "wrong length": "does not match"}.get(
+        case, "edge labels must lie in 1..k$" if top == k else "vertex labels must lie in 1..k\\+1")
+    with pytest.raises(ValueError, match=match):
+        dp(g, arg, k)
 
 
 def test_lane_order_and_lane_labels():
@@ -222,12 +248,11 @@ def test_lane_order_and_lane_labels():
             (1, 1, 1, 1, 2, 3),  # colorful only on 4-5-6: anchors 4 and 6
             (2, 3, 1, 1, 1, 1),  # colorful only on 1-2-3: anchors 1 and 3
             (3, 3, 3, 3, 3, 3))  # misses
-    want = ref.colorful_ebp_dp(g, VertexColoring(2, (0,) + rows[1]), 2)
+    want = ref.colorful_ebp_dp(g, rows[1], 2)
     assert want is not None and want.edge_indices == (3, 4)
-    assert colorful_ebp_dp(g, VertexColorings(2, rows), 2) == (1, want)
-    assert colorful_ebp_dp(g, VertexColorings(2, rows[2:]), 2) == (
-        0, ref.colorful_ebp_dp(g, VertexColoring(2, (0,) + rows[2]), 2))
-    assert colorful_ebp_dp(g, VertexColorings(2, rows[::3]), 2) is None
+    assert colorful_ebp_dp(g, rows, 2) == (1, want)
+    assert colorful_ebp_dp(g, rows[2:], 2) == (0, ref.colorful_ebp_dp(g, rows[2], 2))
+    assert colorful_ebp_dp(g, rows[::3], 2) is None
 
 
 def _record_path_calls(monkeypatch):
@@ -236,12 +261,11 @@ def _record_path_calls(monkeypatch):
     byte cap."""
     dp, calls = colorful_ebp_dp, []
 
-    def recorder(G, tau, k):
-        assert type(tau) is VertexColorings
-        hit = dp(G, tau, k)
-        assert len(tau.rows) <= max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
-        assert len(tau.rows) << (k + 1) >> 3 <= colorcoding._LANE_BYTES
-        calls.append((len(tau.rows), hit))
+    def recorder(G, rows, k):
+        hit = dp(G, rows, k)
+        assert len(rows) <= max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
+        assert len(rows) << (k + 1) >> 3 <= colorcoding._LANE_BYTES
+        calls.append((len(rows), hit))
         return hit
 
     monkeypatch.setattr(colorcoding, "colorful_ebp_dp", recorder)
@@ -252,7 +276,7 @@ def _first_hit(G, k, colorings):
     """(index, witness) of the first coloring under which the reference DP
     finds a path, or None."""
     for i, labels in enumerate(colorings):
-        w = ref.colorful_ebp_dp(G, VertexColoring(k, (0,) + labels), k)
+        w = ref.colorful_ebp_dp(G, labels, k)
         if w is not None:
             return i, w
     return None
@@ -489,13 +513,12 @@ def test_colorful_dps_leave_no_cyclic_garbage():
                 found.append(dp(g, coloring(), k) is not None)
         return calls
 
-    sigma = lambda: EdgeColoring(k, tuple(rng.randrange(1, k + 1) for _ in range(g.m)))
-    tau = lambda: VertexColoring(k, (0,) + tuple(rng.randrange(1, k + 2) for _ in range(g.n)))
+    sigma = lambda: tuple(rng.randrange(1, k + 1) for _ in range(g.m))
+    tau = lambda: tuple(rng.randrange(1, k + 2) for _ in range(g.n))
     assert _garbage_after(run(colorful_bcs_dp, sigma)) == 0
     assert _garbage_after(run(colorful_bt_dp, tau)) == 0
-    assert _garbage_after(run(colorful_ebp_dp, tau)) == 0
-    taus = lambda: VertexColorings(k, tuple(tuple(rng.randrange(1, k + 2) for _ in range(g.n))
-                                            for _ in range(8)))
+    assert _garbage_after(run(colorful_ebp_dp, lambda: (tau(),))) == 0
+    taus = lambda: tuple(tau() for _ in range(8))
     assert _garbage_after(run(colorful_ebp_dp, taus)) == 0
     assert any(found)  # the witness reconstructions ran
 
@@ -521,11 +544,11 @@ def _dp_witness_digest():
         g = random_redblue(rng.randrange(6, 12), rng.choice([0.35, 0.6]), rng.randrange(10**6))
         for k in (2, 4, 6):
             for _ in range(4):
-                sigma = EdgeColoring(k, tuple(rng.randrange(1, k + 1) for _ in range(g.m)))
-                tau = VertexColoring(k, (0,) + tuple(rng.randrange(1, k + 2) for _ in range(g.n)))
+                sigma = tuple(rng.randrange(1, k + 1) for _ in range(g.m))
+                tau = tuple(rng.randrange(1, k + 2) for _ in range(g.n))
                 stats = {}
                 ws = (colorful_bcs_dp(g, sigma, k, stats=stats), colorful_bt_dp(g, tau, k),
-                      colorful_ebp_dp(g, tau, k))
+                      _one_path(g, tau, k))
                 for i, w in enumerate(ws):
                     hits[i] += w is not None
                 h.update(repr(([None if w is None else w.edge_indices for w in ws],

@@ -3,6 +3,8 @@
 trace, and the per-layer metrics silently read zero; these tests catch that
 in the test suite rather than in the benchmark's numbers."""
 import importlib.util
+import math
+import random
 from pathlib import Path
 
 from bcslab import colorcoding
@@ -69,6 +71,37 @@ def test_tracer_records_the_algebraic_layers():
         assert calls["field.mul"] == len(batches) * len(steps)
         # every multiply still goes through VecGF: one element per trial and subset
         assert calls["field.mul.elements"] == muls * sum(batches) << 5
+
+
+def _dp_calls_expected(g, k, kind, delta, seed):
+    """random_coloring_driver's colorful DP calls, replayed untraced: one per
+    tree or subgraph coloring up to the first hit, one per path batch of 1, 2,
+    4, ... colorings (up to the lane cap) up to the batch holding it."""
+    rng = random.Random(seed)
+    trials = math.ceil(math.exp(k) * math.log(1 / delta))
+    tried = next((i for i in range(1, trials + 1) if colorcoding.colorful_dp(
+        g, k, kind, colorcoding.random_labels(rng, g, k, kind)) is not None), trials)
+    if kind is not WitnessKind.PATH:
+        return tried
+    cap = max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
+    batches, lanes = 0, 1
+    while tried > 0:
+        batches, tried, lanes = batches + 1, tried - lanes, min(2 * lanes, cap)
+    return batches
+
+
+def test_one_traced_dp_call_per_coloring_or_path_batch():
+    # colorcoding.colorings counts DP calls: a tree or subgraph call decides one
+    # coloring, a path call a batch
+    cases = [(g, kind, seed) for g in (YES, NO) for kind in WitnessKind for seed in (1, 2, 3)]
+    want = [_dp_calls_expected(g, 4, kind, 0.1, seed) for g, kind, seed in cases]
+    _, ops = _traced(lambda case: colorcoding.random_coloring_driver(
+        case[0], 4, case[1], 0.1, case[2]), cases)
+    assert [calls.get("colorcoding.dp", 0) for calls in ops] == want
+    # some tree or subgraph run tries several colorings, and the NO path run
+    # sends all 126 in batches of 1, 2, 4, ..., 32, 63
+    assert max(n for (_, kind, _), n in zip(cases, want) if kind is not WitnessKind.PATH) > 1
+    assert want[cases.index((NO, WitnessKind.PATH, 1))] == 7
 
 
 def test_tracer_records_the_colorful_dps():
