@@ -259,14 +259,17 @@ class WitnessExtractionError(RuntimeError):
 
 # Deletion passes of witness extraction, each on fresh seeds, before it gives up
 _WITNESS_PASSES = 3
-# The largest k randomized_solve admits. One l = 64 path trial on a 30-vertex,
-# 43-edge graph (random_graph(30, 0.1, 42)) took 0.64 s of CPU at k = 12,
-# 3.4 s at k = 14 and 18.6 s at k = 16 on a 2-vCPU x86-64 VM: about 5x per
-# step of 2, as the 2^(k+1) columns and the gates grow. At k = 18 one trial
-# would take some 90 s, and a default 32-trial "no" most of an hour. Tree and
-# subgraph circuits are larger: on the same graph one trial took 2.7 s for a
-# tree at k = 10, 20 s for a tree at k = 12 and 12.6 s for a subgraph at k = 12.
+# The largest k randomized_solve admits for a path. One l = 64 path trial on a
+# 30-vertex, 43-edge graph (random_graph(30, 0.1, 42)) took 0.64 s of CPU at
+# k = 12, 3.4 s at k = 14 and 18.6 s at k = 16 on a 2-vCPU x86-64 VM: about 5x
+# per step of 2, as the 2^(k+1) columns and the gates grow. At k = 18 one trial
+# would take some 90 s, and a default 32-trial "no" most of an hour.
 MAX_K = 16
+# The largest k for a tree or a subgraph, whose split joins make far larger
+# circuits: on the same graph one trial took 2.7 s for a tree at k = 10, and at
+# k = 12 20 s for a tree (41,608 gates against the path's 2,125) and 12.6 s
+# for a subgraph, about what a path trial costs at k = 16.
+MAX_K_TREE_SUBGRAPH = 12
 
 
 def randomized_solve(
@@ -281,11 +284,12 @@ def randomized_solve(
     """One-sided randomized decision (and optional witness by self-reduction).
 
     The arguments are checked, and a graph of fewer than k edges is answered
-    no, before any circuit is built; otherwise a k past MAX_K = 16 raises
-    ValueError. The witness is found by deleting each edge whose removal
-    keeps the answer yes. A one-sided miss keeps an edge the witness does not
-    need, so a pass whose edges do not validate is run again on fresh seeds,
-    and after _WITNESS_PASSES such passes WitnessExtractionError is raised.
+    no, before any circuit is built; otherwise a k past MAX_K = 16 (a path)
+    or MAX_K_TREE_SUBGRAPH = 12 (a tree or a subgraph) raises ValueError.
+    The witness is found by deleting each edge whose removal keeps the answer
+    yes. A one-sided miss keeps an edge the witness does not need, so a pass
+    whose edges do not validate is run again on fresh seeds, and after
+    _WITNESS_PASSES such passes WitnessExtractionError is raised.
     """
     require_even_k(k)
     if trials is None:
@@ -296,8 +300,9 @@ def randomized_solve(
         raise ValueError("l must be one of 16, 32, 64")
     if G.m < k:
         return RandomizedAnswer(False, None)
-    if k > MAX_K:
-        raise ValueError(f"k = {k} is past the sieve's cap of k = {MAX_K}")
+    cap = MAX_K if kind is WitnessKind.PATH else MAX_K_TREE_SUBGRAPH
+    if k > cap:
+        raise ValueError(f"k = {k} is past the sieve's cap of k = {cap} for a {kind.value}")
     build, extra = _BUILDERS[kind]
     k_dim = k + extra
 

@@ -9,7 +9,10 @@ is the subfamily. Any k_cap columns are independent (Vandermonde), which is
 what the representation property needs. Size bound: C(k_cap, p). The wedge is
 built by exterior products, one column at a time, never by determinants
 (Fomin, Lokshtanov, Panolan, Saurabh, "Efficient computation of
-representative families", JACM 2016).
+representative families", JACM 2016). A family of one set, or of two sets
+with different masks below p = k_cap, keeps every set, so it passes through
+unchanged with no wedge built (see `reduce_family`); in the path solver most
+families are that small.
 
 The exact balanced path solver keeps one table per level (r, b): for each
 (u, v), the family of vertex sets of u-v paths with r red and b blue edges,
@@ -28,12 +31,15 @@ from typing import Optional
 
 from .graphs import EdgeColor, RedBlueGraph, Witness, WitnessKind, count_level, require_even_k
 
-# The largest k solve_ebp_repsets admits. A level-p family reduces minor
-# vectors of C(k+1, p) coordinates, so the widest has C(k+1, (k+1) // 2): 1,716
-# at k = 12, 6,435 at k = 14 and 24,310 at k = 16. On a 60-edge path, whose
-# families hold one set each, the solve took 1.6, 8.3 and 39 s of CPU at these
-# k on a 2-vCPU x86-64 VM. Denser graphs hold larger families: a 30-vertex,
-# 43-edge random graph took 13 s at k = 10 and over 60 s at k = 12.
+# The largest k solve_ebp_repsets admits. A level-p family of three or more
+# sets reduces minor vectors of C(k+1, p) coordinates, so the widest has
+# C(k+1, (k+1) // 2): 1,716 at k = 12, 6,435 at k = 14 and 24,310 at k = 16.
+# Graphs whose families hold that many sets are slow well below the cap; on a
+# 2-vCPU x86-64 VM a 20-vertex, 58-edge random graph (corpus.random_graph(20,
+# 0.3, 5)) took 1.0 s of CPU at k = 6, 21 s at k = 8 and over 150 s at k = 10,
+# and a 30-vertex, 43-edge one (random_graph(30, 0.1, 42)) 11 s at k = 10 and
+# 124 s at k = 12. A 60-edge path, whose families hold one set each, builds
+# no minor vector and takes under 0.1 s at any k up to 16.
 MAX_K = 14
 
 
@@ -56,6 +62,13 @@ class SetFamily:
                 wmask |= 1 << v
             if wmask != mask:
                 raise ValueError("witness vertex set differs from the subset")
+
+    @classmethod
+    def _derived(cls, ground_size: int, p: int, sets: tuple) -> "SetFamily":
+        """A family built from a checked one's members, without __post_init__'s checks."""
+        S = object.__new__(cls)
+        S.__dict__.update(ground_size=ground_size, p=p, sets=sets)
+        return S
 
 
 @lru_cache(maxsize=None)
@@ -127,9 +140,21 @@ def reduce_family(S: SetFamily, k_cap: int, *, wedges: Optional[dict] = None) ->
     basis has full rank no later set can extend it. `wedges`, when given,
     memoises minor vectors by mask; the caller keeps one dict per k_cap and
     ground size.
+
+    Two cases keep every set, and return S as it is with no minor vector
+    built. Vertex ids lie in 1..ground_size < q, so they stay distinct over
+    GF(q), and any p <= k_cap moment columns are independent (Vandermonde):
+    - one set: its minor vector is not zero;
+    - two sets A != B with p < k_cap: their wedges are proportional only if
+      A and B span the same subspace. Then a vertex b of B - A lies in the
+      span of A, and A + {b} would be p + 1 <= k_cap dependent columns. The
+      basis has C(k_cap, p) >= 2 rows, so both sets are kept.
     """
     if S.p > k_cap:
         raise ValueError("p exceeds k_cap")
+    sets = S.sets
+    if len(sets) == 1 or (len(sets) == 2 and S.p < k_cap and sets[0][0] != sets[1][0]):
+        return S
     q = _smallest_prime_above(S.ground_size)
     if wedges is None:
         wedges = {}
@@ -152,18 +177,20 @@ def reduce_family(S: SetFamily, k_cap: int, *, wedges: Optional[dict] = None) ->
             inv = pow(row[piv], -1, q)
             basis.append((piv, [x * inv % q for x in row[piv:]]))
             kept.append((mask, wit))
-    return SetFamily(S.ground_size, S.p, tuple(kept))
+    return SetFamily._derived(S.ground_size, S.p, tuple(kept))
 
 
 def convolve_extend(S: SetFamily, v: int) -> SetFamily:
     """The * {{v}} convolution: add v to every member set not containing it."""
+    if not 0 < v <= S.ground_size:
+        raise ValueError("v lies outside 1..ground_size")
     bit = 1 << v
     out = []
     for mask, wit in S.sets:
         if mask & bit:
             continue
         out.append((mask | bit, wit + (v,)))
-    return SetFamily(S.ground_size, S.p + 1, tuple(out))
+    return SetFamily._derived(S.ground_size, S.p + 1, tuple(out))
 
 
 def solve_ebp_repsets(
@@ -218,7 +245,7 @@ def solve_ebp_repsets(
                             seen.setdefault(mask, wit)
                 if not seen:
                     continue
-                cand = SetFamily(G.n, j + 1, tuple(seen.items()))
+                cand = SetFamily._derived(G.n, j + 1, tuple(seen.items()))
                 reduced = reduce_family(cand, k_cap, wedges=wedges)
                 if record is not None:
                     record.append((u, v, r, b, cand, reduced))

@@ -260,6 +260,20 @@ def test_algebraic_k_past_cap_exit_two(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("kind", ["tree", "subgraph"])
+def test_algebraic_tree_subgraph_k_past_cap_exit_two(kind, tmp_path, capsys):
+    # tree and subgraph circuits outgrow path circuits: their cap is lower
+    from bcslab.algebra.mldetect import MAX_K_TREE_SUBGRAPH
+
+    p = _path_file(tmp_path, 20)
+    t0 = time.perf_counter()
+    code = main(["solve", "--algo", "algebraic", "--kind", kind, "-k", "14", p])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"cap of k = {MAX_K_TREE_SUBGRAPH} for a {kind}" in captured.err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_repsets_large_k_on_few_edges_is_no_at_once(tmp_path, capsys):
     # fewer edges than k: no before any wedge is built
     p = tmp_path / "tiny.graph"

@@ -18,6 +18,7 @@ from bcslab.repsets import (
 )
 
 from conftest import B, R, path_graph, random_redblue
+from repsets_reference import reduce_sets
 
 
 def _mask(*verts):
@@ -48,6 +49,41 @@ def test_reduce_singletons():
 def test_reduce_single_set_identity():
     S = SetFamily(4, 2, ((_mask(1, 2), (1, 2)),))
     assert reduce_family(S, 2).sets == S.sets
+
+
+def test_distinct_sets_below_k_cap_have_independent_minor_vectors():
+    # the lemma behind reduce_family's two-set short-cut: over ground 7, so
+    # GF(11), two distinct p-sets with p < k_cap span different subspaces,
+    # so the full elimination keeps both
+    assert _smallest_prime_above(7) == 11
+    pairs = 0
+    for k_cap in range(2, 6):
+        for p in range(1, k_cap):
+            sets = [(_mask(*s), s) for s in combinations(range(1, 8), p)]
+            for pair in combinations(sets, 2):
+                assert reduce_sets(pair, p, 7, k_cap) == pair, (k_cap, p)
+                pairs += 1
+    assert pairs == 2499
+
+
+def test_reduce_one_or_two_sets_builds_no_wedge():
+    one = SetFamily(7, 3, ((_mask(1, 2, 3), (1, 2, 3)),))
+    two = SetFamily(7, 3, ((_mask(1, 2, 3), (1, 2, 3)), (_mask(2, 3, 4), (4, 3, 2))))
+    for S, k_cap in ((one, 3), (one, 5), (two, 4)):
+        wedges = {}
+        assert reduce_family(S, k_cap, wedges=wedges) is S
+        assert wedges == {}
+
+
+def test_reduce_two_sets_at_p_equal_k_cap_keeps_first():
+    S = SetFamily(7, 3, ((_mask(1, 2, 3), (1, 2, 3)), (_mask(2, 3, 4), (2, 3, 4))))
+    assert reduce_family(S, 3).sets == S.sets[:1]
+
+
+def test_reduce_two_sets_with_equal_masks_keeps_one():
+    S = SetFamily(7, 2, ((_mask(1, 2), (1, 2)), (_mask(1, 2), (2, 1))))
+    for k_cap in (2, 3, 5):
+        assert reduce_family(S, k_cap).sets == S.sets[:1]
 
 
 def test_reduce_q_zero_keeps_one():
@@ -186,6 +222,45 @@ def test_reduce_errors():
 def test_set_family_rejects_bad_members(p, mask, wit):
     with pytest.raises(ValueError):
         SetFamily(4, p, ((mask, wit),))
+
+
+def _planted_path(rng, n, k, noise):
+    """An alternating k-edge path on random vertices of 1..n plus `noise` random edges."""
+    verts = rng.sample(range(1, n + 1), k + 1)
+    edges = {frozenset(e): (*e, R if i % 2 else B) for i, e in enumerate(zip(verts, verts[1:]))}
+    while len(edges) < k + noise:
+        a, b = rng.sample(range(1, n + 1), 2)
+        edges.setdefault(frozenset((a, b)), (a, b, rng.choice((R, B))))
+    return RedBlueGraph(n, tuple(edges.values()))
+
+
+def test_reductions_match_reference_elimination():
+    # every recorded candidate family, re-reduced by the full greedy
+    # elimination, keeps the same sets in the same order: the one- and
+    # two-set short-cuts change no reduction
+    rng = random.Random(2020)
+    sizes = set()
+    yes = 0
+    for trial in range(24):
+        n = rng.randrange(8, 13)
+        for k in (4, 6):
+            if trial % 2:
+                g = _planted_path(rng, n, k, rng.randrange(4, 10))
+            else:
+                g = random_redblue(n, rng.choice([0.3, 0.45]), rng.randrange(10**6))
+            rec = []
+            yes += solve_ebp_repsets(g, k, record=rec) is not None
+            for _, _, _, _, cand, red in rec:
+                sizes.add(min(len(cand.sets), 3))
+                assert red.sets == reduce_sets(cand.sets, cand.p, cand.ground_size, k + 1)
+    assert sizes == {1, 2, 3} and yes == 47
+
+
+def test_convolve_extend_rejects_vertices_off_the_ground():
+    S = SetFamily(5, 1, ((_mask(1), (1,)),))
+    for v in (0, 6):
+        with pytest.raises(ValueError):
+            convolve_extend(S, v)
 
 
 def test_convolve_extend():
