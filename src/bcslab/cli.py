@@ -50,8 +50,19 @@ def _require_repsets_kind(kind):
         raise ValueError("repsets solver handles kind=path only")
 
 
+# solvers that decide exactly k edges; oracle and split also answer --mode atleast
+_EXACT_ONLY = ("colorcoding", "repsets", "algebraic")
+
+
 def run_solver(G, algo, kind, k, args):
-    """Returns (yes: bool, witness or None)."""
+    """Returns (yes: bool, witness or None).
+
+    Raises ValueError for --mode atleast on a solver that decides exactly k
+    edges, rather than answer a question it was not asked.
+    """
+    if args.mode == "atleast" and algo in _EXACT_ONLY:
+        raise ValueError(f"--algo {algo} decides exactly k edges; --mode atleast "
+                         "needs --algo oracle, or split on split graphs")
     if algo == "oracle":
         mode = SolveMode.AT_LEAST if args.mode == "atleast" else SolveMode.EXACT
         w = oracle_solve(G, k, kind, mode, budget=args.budget)

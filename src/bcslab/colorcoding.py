@@ -23,16 +23,18 @@ holds every label, and the witness walk. A DP only gives its level-0 cells,
 the step that makes a row of the next level from the one below, and the walk
 step that splits a popped cell into its children.
 
-The path DP decides a batch of colorings, a tuple of rows, in one pass, one
-coloring being the one-lane case: a cell holds one lane of 2^(k+1) bits per
-coloring, and since the path recurrence has no disjoint-union join, no step
-moves a bit from one lane to another. It answers the index of the first
-hitting row with the witness walked in that lane, or None. The drivers run
-their path colorings in batches that double from one coloring up to
-_LANE_BYTES per cell, in the order they draw them, so the first batch with a
-hit gives the first coloring with a witness, and its witness. Tree and
-subgraph colorings run one at a time, since their joins walk each cell's own
-label sets.
+The tree and path DPs decide a batch of colorings, a tuple of rows, in one
+pass, one coloring being the one-lane case: a cell holds one lane of
+2^(k+1) bits per coloring, set up once for both by _lane_cells. The path
+recurrence moves no bit from one lane to another. The tree's split join
+pairs two cells' label sets; it walks the sets that any lane of one side
+holds, and joins each only in the lanes that hold it. Both answer the index
+of the first hitting row with the witness walked in that lane, or None. The
+drivers run their tree and path colorings in batches that double from one
+coloring up to _LANE_BYTES per cell, in the order they draw them, so the
+first batch with a hit gives the first coloring with a witness, and its
+witness. Subgraph colorings, and tree colorings past k = 4, run one at a
+time: there each label set is held by too few lanes for the join to pay.
 """
 from __future__ import annotations
 
@@ -94,6 +96,56 @@ def _label_masks(row: tuple, k: int, size: int, labels: int) -> tuple:
             [keep[l - 1] for l in row])
 
 
+@lru_cache(maxsize=None)
+def _one_lane_cells(labels: int) -> tuple:
+    """(base, masks, bits) of _lane_cells for one lane, per label l at index l."""
+    keep = _keep_masks(labels)
+    return ((None, *(1 << (1 << l >> 1) for l in range(1, labels + 1))), (None, *keep),
+            (None, *(1 << l >> 1 for l in range(1, labels + 1))))
+
+
+def _lane_cells(rows: tuple, labels: int) -> tuple:
+    """(ones, base, masks, bits, more) for a batch of vertex colorings over
+    `labels` labels, once _check_rows passes it. Each row is a lane of
+    W = 2^labels bits in a cell, lane c at bits c*W..c*W + W - 1: ones holds
+    bit 0 of every lane, and base[v] the set {v's label} in every lane, the
+    level-0 cell of vertex v. For each label l that v carries in the batch,
+    M[v][l] holds keep[l-1] in exactly the lanes whose coloring gives v label
+    l, so adding v's label to the sets of a cell S that lack it is the OR of
+    (S & M[v][l]) << 2^(l-1) over those l. masks[v] and bits[v] give the
+    first such pair, more[v] the further pairs. One lane builds no byte
+    buffer and no masks.
+    """
+    if len(rows) == 1:
+        base, masks, bits = _one_lane_cells(labels)
+        row = rows[0]
+        return (1, [0, *map(base.__getitem__, row)], [0, *map(masks.__getitem__, row)],
+                [0, *map(bits.__getitem__, row)], [()] * (len(row) + 1))
+    keep, lanes = _keep_masks(labels), len(rows)
+    stride = 1 << labels >> 3  # bytes per lane
+    ones = int.from_bytes((b"\x01" + bytes(stride - 1)) * lanes, "little")
+    base, masks, bits, more = [0], [0], [0], [()]
+    column = bytearray(stride * lanes)
+    for col in zip(*rows):
+        l = col[0]
+        if col.count(l) == lanes:  # one label in every lane
+            bit = 1 << l >> 1
+            pairs = [(ones * keep[l - 1], bit)]
+            base.append(ones << bit)
+        else:
+            column[::stride] = bytes(col)
+            cell, pairs = 0, []
+            for l in set(col):
+                at, bit = int.from_bytes(column.translate(_LANE_OF[l]), "little"), 1 << l >> 1
+                cell |= at << bit
+                pairs.append((at * keep[l - 1], bit))
+            base.append(cell)
+        masks.append(pairs[0][0])
+        bits.append(pairs[0][1])
+        more.append(tuple(pairs[1:]))
+    return ones, base, masks, bits, more
+
+
 def _disjoint_from(L: int, disjoint: dict, keep: tuple) -> int:
     """The bits of a cell whose label sets miss L; memoised in `disjoint`."""
     d = disjoint.get(L)
@@ -117,6 +169,25 @@ def _join(a: int, b: int, disjoint: dict, keep: tuple) -> int:
             d = _disjoint_from(L1, disjoint, keep)
         out |= (b & d) << L1
         a ^= low
+    return out
+
+
+def _lane_join(a: int, sets: int, b: int, disjoint: dict, keep: tuple, ones: int) -> int:
+    """_join in every lane of cells of several lanes at once, where sets holds
+    the label sets L1 that any lane of a holds. For each, h = (a >> L1) & ones
+    holds bit 0 of the lanes that hold L1, and h * disjoint_from[L1] is that
+    mask in exactly those lanes, so (b & h * disjoint_from[L1]) << L1 joins
+    L1 in every lane that holds it.
+    """
+    out = 0
+    while sets:
+        low = sets & -sets
+        L1 = low.bit_length() - 1
+        d = disjoint.get(L1)
+        if d is None:
+            d = _disjoint_from(L1, disjoint, keep)
+        out |= (b & (a >> L1 & ones) * d) << L1
+        sets ^= low
     return out
 
 
@@ -255,17 +326,47 @@ def colorful_bcs_dp(G: RedBlueGraph, labels: tuple, k: int,
                   stats)[1]
 
 
-def colorful_bt_dp(G: RedBlueGraph, labels: tuple, k: int) -> Optional[Witness]:
-    """[k+1]-vertex-colorful balanced tree with k edges, if any, where
-    labels[v - 1] in 1..k+1 is vertex v's label."""
-    keep, disjoint, bit, lacks = _label_masks(labels, k, G.n, k + 1)
-    bit, lacks = [0] + bit, [0] + lacks  # vertex v at index v
+def colorful_bt_dp(G: RedBlueGraph, rows: tuple, k: int) -> Optional[tuple]:
+    """[k+1]-vertex-colorful balanced tree with k edges, if any, for a batch
+    of colorings: rows[c][v - 1] in 1..k+1 is vertex v's label under coloring
+    c. The answer is (c, witness) for the first coloring c that has such a
+    tree, or None.
+
+    Every coloring is a lane of W = 2^(k+1) bits in each cell, as in
+    colorful_ebp_dp. The pendant-leaf step adds the leaf's label with its
+    lane masks (_lane_cells). The split join is the one step that pairs two
+    cells' label sets; it runs over the label sets that any lane holds and
+    masks each to the lanes that hold it (_lane_join). One coloring walks its
+    cell's own sets (_join).
+    """
+    _check_rows(rows, k, G.n, k + 1)
+    labels = k + 1
+    ones, base, masks, bits, more = _lane_cells(rows, labels)
+    keep, disjoint = _keep_masks(labels), {0: (1 << (1 << labels)) - 1}
+    # the lane count rounded up to 2^halvings; (shift, low mask) per halving
+    halvings, width = (len(rows) - 1).bit_length(), 1 << labels
+    folds = halvings and tuple((width << i, (1 << (width << i)) - 1)
+                               for i in reversed(range(halvings)))
+    folded = {}
+
+    def sets_of(at, r, b):
+        """Per vertex x, the label sets that any lane of at[r][b][x] holds:
+        its lanes OR-folded onto lane 0."""
+        sets = folded.get((r, b))
+        if sets is None:
+            sets = folded[r, b] = []
+            for cell in at[r][b]:
+                for shift, low in folds:
+                    cell = cell >> shift | cell & low
+                sets.append(cell)
+        return sets
+
     ends, reds, blues = G._edge_lists
     # cells[r][b][e]: vertex label sets of colorful trees with r red and b blue
     # edges that contain e; at[r][b][x]: the union over the edges at x. A tree
-    # through x holds x's label bit[x], which is what keeps e out of its own
-    # sides; at[0][0][x] is the one-vertex tree x, so level 1 is each edge
-    # whose ends differ in label.
+    # through x holds x's label, which is what keeps e out of its own sides;
+    # at[0][0][x] is the one-vertex tree x, so level 1 is each edge whose ends
+    # differ in label.
 
     def step(at, r, b):
         row = [0] * G.m
@@ -273,32 +374,45 @@ def colorful_bt_dp(G: RedBlueGraph, labels: tuple, k: int) -> Optional[Witness]:
             if rc < 0 or bc < 0:
                 continue
             extend, parts = at[rc][bc], count_splits(rc, bc)
-            splits = [(at[r1][b1], at[r2][b2]) for (r1, b1), (r2, b2) in parts] if parts else ()
+            splits = [(at[r1][b1], folds and sets_of(at, r1, b1), at[r2][b2])
+                      for (r1, b1), (r2, b2) in parts] if parts else ()
             for e in edges:
                 u, v = ends[e]
                 # u or v a pendant leaf, then a u-side and a v-side subtree
-                cell = (extend[v] & lacks[u]) << bit[u] | (extend[u] & lacks[v]) << bit[v]
-                for n1, n2 in splits:
+                cell = (extend[v] & masks[u]) << bits[u] | (extend[u] & masks[v]) << bits[v]
+                if folds:  # the ends' further labels in the batch
+                    for mask, bit in more[u]:
+                        cell |= (extend[v] & mask) << bit
+                    for mask, bit in more[v]:
+                        cell |= (extend[u] & mask) << bit
+                for n1, sets, n2 in splits:
                     a1, a2 = n1[u], n2[v]
                     if a1 and a2:
-                        cell |= _join(a1, a2, disjoint, keep)
+                        cell |= (_lane_join(a1, sets[u], a2, disjoint, keep, ones) if folds else
+                                 _join(a1, a2, disjoint, keep))
                 row[e] = cell
         return row
 
+    # L's lane, at bit offset off, gives the coloring whose labels of the
+    # leaf, or of the two sides' ends, leave the set
     def children(cells, at, out, e, r, b, L):
         out.append(e)
         if r + b == 1:
             return ()
         rc, bc = (r - 1, b) if G.edges[e][2] is EdgeColor.RED else (r, b - 1)
         u, v = ends[e]
-        for leaf, x in ((u, v), (v, u)):
-            if at[rc][bc][x] >> (L ^ bit[leaf]) & 1:
-                return (_child(G, cells, (x,), rc, bc, L ^ bit[leaf]),)
-        return _split(G, cells, at, rc, bc, L ^ bit[u] ^ bit[v], (u, (u,), bit[u]),
-                      (v, (v,), bit[v]))
+        row, off = rows[L >> labels], L >> labels << labels
+        bu, bv = 1 << row[u - 1] >> 1, 1 << row[v - 1] >> 1
+        for leaf, x in ((bu, v), (bv, u)):
+            if at[rc][bc][x] >> (L ^ leaf) & 1:
+                return (_child(G, cells, (x,), rc, bc, L ^ leaf),)
+        return _split(G, cells, at, rc, bc, L ^ off ^ bu ^ bv, (u, (u,), off | bu),
+                      (v, (v,), off | bv))
 
-    return _frame(WitnessKind.TREE, k, 1 << (1 << (k + 1)) - 1, [1 << s for s in bit],
-                  lambda row: _vertex_unions(G.n, ends, row), step, children)[1]
+    # the full label set is each lane's top bit
+    lane, w = _frame(WitnessKind.TREE, k, ones << (1 << labels) - 1, base,
+                     lambda row: _vertex_unions(G.n, ends, row), step, children)
+    return None if w is None else (lane, w)
 
 
 def colorful_ebp_dp(G: RedBlueGraph, rows: tuple, k: int) -> Optional[tuple]:
@@ -312,33 +426,14 @@ def colorful_ebp_dp(G: RedBlueGraph, rows: tuple, k: int) -> Optional[tuple]:
     recurrence moves a bit between lanes: the OR over a vertex's neighbours
     is lane-wise, and adding v's label is one masked shift
     (acc & M[v][l]) << 2^(l-1) per label l that v carries in the batch, where
-    M[v][l] holds keep[l-1] in exactly the lanes whose coloring gives v label l.
+    M[v][l] holds keep[l-1] in exactly the lanes whose coloring gives v label l
+    (_lane_cells).
     """
     _check_rows(rows, k, G.n, k + 1)
-    labels, lanes = k + 1, len(rows)
-    keep = _keep_masks(labels)
-    stride = 1 << labels >> 3  # bytes per lane
-    column = bytearray(stride * lanes)
-    ones = int.from_bytes((b"\x01" + bytes(stride - 1)) * lanes, "little")  # bit 0 of each lane
-    # cells[r][b][v]: vertex label sets of colorful paths ending at v; cells[0][0][v]
-    # is the one-vertex path v. adds[v]: (M[v][l], 2^(l-1), the further pairs).
-    base, adds = [0], [None]
-    for col in zip(*rows):
-        l = col[0]
-        if col.count(l) == lanes:  # one label in every lane
-            bit = 1 << l >> 1
-            add = (ones * keep[l - 1], bit, ())
-            base.append(ones << bit)
-        else:
-            column[::stride] = bytes(col)
-            cell, pairs = 0, []
-            for l in set(col):
-                at, bit = int.from_bytes(column.translate(_LANE_OF[l]), "little"), 1 << l >> 1
-                cell |= at << bit
-                pairs.append((at * keep[l - 1], bit))
-            add = (*pairs[0], pairs[1:])
-            base.append(cell)
-        adds.append(add)
+    labels = k + 1
+    # cells[r][b][v]: vertex label sets of colorful paths ending at v;
+    # cells[0][0][v] is the one-vertex path v
+    ones, base, masks, bits, more = _lane_cells(rows, labels)
     n = G.n
     reds, blues = G._neighbor_lists
 
@@ -355,10 +450,10 @@ def colorful_ebp_dp(G: RedBlueGraph, rows: tuple, k: int) -> Optional[tuple]:
                 for u in blues[v]:
                     acc |= from_blue[u]
             if acc:
-                mask, bit, more = adds[v]
-                out = (acc & mask) << bit
-                if more:  # cheaper than an empty loop for a one-label vertex
-                    for mask, bit in more:
+                out = (acc & masks[v]) << bits[v]
+                pairs = more[v]
+                if pairs:  # cheaper than an empty loop for a one-label vertex
+                    for mask, bit in pairs:
                         out |= (acc & mask) << bit
                 row[v] = out
         return row
@@ -392,9 +487,14 @@ _FAMILY_MAX_LABELS = 6
 # failure probability and seed
 _FALLBACK_DELTA = 1e-3
 _FALLBACK_SEED = _FAMILY_SEED
-# a batch of path colorings holds at most this many bytes in one cell: 256
-# colorings at k = 6, 64 at k = 8, one from k = 14 up
+# a batch of path or tree colorings holds at most this many bytes in one
+# cell: 1024 colorings at k = 4, 256 at k = 6, 64 at k = 8, one from k = 14 up
 _LANE_BYTES = 4096
+# tree colorings run in lanes up to this k. Past it, each label set that the
+# split join walks is held by too few lanes of a batch: on dense NO blocks
+# the driver's batches (up to 256 lanes) read 1.2-1.5 of one coloring at a
+# time at k = 6, and at k = 8 (up to 64 lanes) 8-13 times
+_TREE_LANE_MAX_K = 4
 
 
 def _draw_labels(rng: random.Random, labels: int, size: int) -> tuple:
@@ -469,9 +569,8 @@ def colorful_dp(G: RedBlueGraph, k: int, kind: WitnessKind, labels: tuple) -> Op
     """
     if kind is WitnessKind.SUBGRAPH:
         return colorful_bcs_dp(G, labels, k)
-    if kind is WitnessKind.TREE:
-        return colorful_bt_dp(G, labels, k)
-    hit = colorful_ebp_dp(G, (labels,), k)
+    dp = colorful_bt_dp if kind is WitnessKind.TREE else colorful_ebp_dp
+    hit = dp(G, (labels,), k)
     return hit and hit[1]
 
 
@@ -479,20 +578,24 @@ def _first_witness(G: RedBlueGraph, k: int, kind: WitnessKind, colorings) -> Opt
     """The witness of the first label tuple that the iterator `colorings`
     yields under which kind's colorful DP finds one, or None.
 
-    Path colorings run in batches through colorful_ebp_dp: one coloring, then
-    twice as many each time, up to as many lanes as fit _LANE_BYTES in a cell.
-    The first batch with a hit answers with the witness walked in its first
-    hitting lane. Trees and subgraphs run one coloring at a time: their split
-    joins walk each cell's own label sets, which differ from lane to lane.
+    Tree and path colorings run in batches through colorful_bt_dp and
+    colorful_ebp_dp: one coloring, then twice as many each time, up to as many
+    lanes as fit _LANE_BYTES in a cell. The first batch with a hit answers
+    with the witness walked in its first hitting lane. Subgraph colorings,
+    and tree colorings past _TREE_LANE_MAX_K, run one at a time: there the
+    lane join ran slower than one coloring at a time (at 8 subgraph labels,
+    0.1-0.6 of its speed).
     """
-    lanes = 1
-    cap = max(1, _LANE_BYTES << 3 >> (k + 1)) if kind is WitnessKind.PATH else 1
+    lanes, cap = 1, max(1, _LANE_BYTES << 3 >> (k + 1))
+    if kind is WitnessKind.SUBGRAPH or kind is WitnessKind.TREE and k > _TREE_LANE_MAX_K:
+        cap = 1
     while rows := tuple(islice(colorings, lanes)):
-        if kind is WitnessKind.PATH:
-            hit = colorful_ebp_dp(G, rows, k)
-            w = hit and hit[1]
+        if kind is WitnessKind.SUBGRAPH:
+            w = colorful_bcs_dp(G, rows[0], k)
         else:
-            w = colorful_dp(G, k, kind, rows[0])
+            dp = colorful_bt_dp if kind is WitnessKind.TREE else colorful_ebp_dp
+            hit = dp(G, rows, k)
+            w = hit and hit[1]
         if w is not None:
             return w
         lanes = min(2 * lanes, cap)
@@ -522,9 +625,9 @@ def _feasible(G: RedBlueGraph, k: int, kind: WitnessKind) -> bool:
 def family_driver(G: RedBlueGraph, k: int, kind: WitnessKind) -> Optional[Witness]:
     """Run the colorful DP over the greedy hash family; exact at family scale.
 
-    Path colorings run in batches of lanes (_first_witness); the witness is
-    the one walked in the first family coloring with a hit, as one coloring
-    at a time would find it.
+    Tree and path colorings run in batches of lanes (_first_witness); the
+    witness is the one walked in the first family coloring with a hit, as one
+    coloring at a time would find it.
 
     Past greedy_hash_family's scale (more than 20 edges for subgraphs or
     vertices for trees and paths, or more than 6 labels) it returns
@@ -551,10 +654,10 @@ def random_coloring_driver(
     """Monte Carlo driver: ceil(e^k ln(1/delta)) random colorings through the DP.
 
     One-sided: a returned witness is always valid; when a size-k solution
-    exists, absence is reported with probability <= delta. Path colorings
-    run in batches of lanes (_first_witness), drawn from the rng in the same
-    order as one at a time, and the witness is walked in the first hitting
-    lane, so the answer is the same.
+    exists, absence is reported with probability <= delta. Tree and path
+    colorings run in batches of lanes (_first_witness), drawn from the rng in
+    the same order as one at a time, and the witness is walked in the first
+    hitting lane, so the answer is the same.
     """
     require_even_k(k)
     if not (0.0 < failure_prob < 1.0):

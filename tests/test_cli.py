@@ -304,6 +304,33 @@ def test_oracle_count_atleast_exit_two(tri_path, capsys):
     assert code == 2 and captured.out == "" and "--mode atleast" in captured.err
 
 
+# a balanced path of 8 edges with no balanced subgraph, tree or path of exactly 6
+RRBBBBRR = "graph 9 8\n" + "".join(f"e {v} {v + 1} {c}\n" for v, c in enumerate("RRBBBBRR", 1))
+
+
+@pytest.mark.parametrize("kind", ["subgraph", "tree", "path"])
+@pytest.mark.parametrize("algo", ["oracle", "split", "colorcoding", "repsets", "algebraic"])
+def test_solve_atleast_is_yes_or_exit_two(algo, kind, tmp_path, capsys):
+    # at least 6 edges holds with all 8; a solver that decides exactly k would
+    # answer a false "no", so it exits 2 naming the mode
+    path = tmp_path / "rrbbbbrr.graph"
+    path.write_text(RRBBBBRR)
+    exact = main(["solve", "--algo", "oracle", "--kind", kind, "-k", "6", str(path)])
+    capsys.readouterr()
+    code = main(["solve", "--algo", algo, "--kind", kind, "-k", "6", "--mode", "atleast",
+                 str(path)])
+    captured = capsys.readouterr()
+    assert exact == 1
+    if algo == "oracle":
+        doc = json.loads(captured.out)
+        assert code == 0 and doc["answer"] == "yes" and doc["witness"] == list(range(8))
+    elif algo == "split":
+        # split answers at least k on split graphs; a path of 9 vertices is not one
+        assert code == 2 and "split" in captured.err and "--mode" not in captured.err
+    else:
+        assert code == 2 and captured.out == "" and "--mode atleast" in captured.err
+
+
 @pytest.mark.parametrize("k", ["2", "4"])
 def test_algebraic_zero_trials_exit_two(k, tri_path, capsys):
     # checked up front, also where fewer than k edges would answer no (k = 4)

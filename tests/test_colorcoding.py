@@ -25,11 +25,19 @@ from conftest import B, R, path_graph, random_redblue
 TRI = parse_graph("graph 3 3\ne 1 2 R\ne 2 3 B\ne 1 3 R\n")
 
 
-def _one_path(g, tau, k):
-    """colorful_ebp_dp on the one-row batch (tau,): the witness, or None."""
-    hit = colorful_ebp_dp(g, (tau,), k)
+def _one_row(dp, g, tau, k):
+    """dp on the one-row batch (tau,): the witness, or None."""
+    hit = dp(g, (tau,), k)
     assert hit is None or hit[0] == 0
     return hit and hit[1]
+
+
+def _one_path(g, tau, k):
+    return _one_row(colorful_ebp_dp, g, tau, k)
+
+
+def _one_tree(g, tau, k):
+    return _one_row(colorful_bt_dp, g, tau, k)
 
 
 def test_bcs_dp_examples():
@@ -42,10 +50,11 @@ def test_bcs_dp_examples():
 
 def test_bt_dp_examples():
     pg = path_graph([R, B])
-    assert colorful_bt_dp(pg, (1, 2, 3), 2) is not None
-    assert colorful_bt_dp(pg, (1, 2, 1), 2) is None
+    hit = colorful_bt_dp(pg, ((1, 2, 3),), 2)
+    assert hit is not None and hit[0] == 0 and sorted(hit[1].edge_indices) == [0, 1]
+    assert colorful_bt_dp(pg, ((1, 2, 1),), 2) is None
     allred = path_graph([R, R])
-    assert colorful_bt_dp(allred, (1, 2, 3), 2) is None
+    assert colorful_bt_dp(allred, ((1, 2, 3),), 2) is None
 
 
 def test_ebp_dp_examples():
@@ -69,7 +78,7 @@ def test_dp_witnesses_are_colorful():
             assert validate_witness(g, w, k).valid
             assert len({sig[i] for i in w.edge_indices}) == k
         tau = tuple(rng.randrange(1, k + 2) for _ in range(g.n))
-        for w in (colorful_bt_dp(g, tau, k), _one_path(g, tau, k)):
+        for w in (_one_tree(g, tau, k), _one_path(g, tau, k)):
             if w is not None:
                 assert validate_witness(g, w, k).valid
                 verts = set()
@@ -127,12 +136,12 @@ def _check_against_reference(g, k, sigma, tau):
     if w is not None:
         _assert_colorful(g, w, k, sigma=sigma)
         assert colorful_bcs_dp(g, sigma, k) == w
-    w = colorful_bt_dp(g, tau, k)
+    w = _one_tree(g, tau, k)
     assert (w is None) == (ref.colorful_bt_dp(g, tau, k) is None)
     found.append(w is not None)
     if w is not None:
         _assert_colorful(g, w, k, tau=tau)
-        assert colorful_bt_dp(g, tau, k) == w
+        assert _one_tree(g, tau, k) == w
     w = _one_path(g, tau, k)
     assert w == ref.colorful_ebp_dp(g, tau, k)
     found.append(w is not None)
@@ -178,7 +187,7 @@ def test_label_cap():
     with pytest.raises(ValueError, match="too large"):
         colorful_bcs_dp(g, (1, 2), 22)
     with pytest.raises(ValueError, match="too large"):
-        colorful_bt_dp(g, (1, 2, 3), 20)
+        colorful_bt_dp(g, ((1, 2, 3),), 20)
     with pytest.raises(ValueError, match="too large"):
         colorful_ebp_dp(g, ((1, 2, 3),), 20)
     # 20 labels is the widest cell
@@ -220,15 +229,15 @@ def test_lane_batch_checks_every_row():
                                   "label one past the top"])
 @pytest.mark.parametrize("dp", [colorful_bcs_dp, colorful_bt_dp, colorful_ebp_dp])
 def test_dps_reject_bad_colorings(dp, case):
-    # one check for the three DPs: a subgraph or tree call takes one row, so
-    # an empty batch is an empty row there; a path call takes a batch, checked
+    # one check for the three DPs: a subgraph call takes one row, so an empty
+    # batch is an empty row there; a tree or path call takes a batch, checked
     # row by row behind a good one
     g, k = path_graph([R, B, R]), 2
     size, top = (g.m, k) if dp is colorful_bcs_dp else (g.n, k + 1)
     good = tuple(i % top + 1 for i in range(size))
     bad = {"empty batch": (), "wrong length": good[:-1], "label 0": (0,) + good[1:],
            "label one past the top": good[:-1] + (top + 1,)}[case]
-    if dp is colorful_ebp_dp:
+    if dp is not colorful_bcs_dp:
         dp(g, (good,), k)
         arg, empty = (good, bad) if bad else (), "at least one coloring"
     else:
@@ -240,14 +249,17 @@ def test_dps_reject_bad_colorings(dp, case):
         dp(g, arg, k)
 
 
+# on the path R B R B R: lane 2 hits at a lower anchor than lane 1
+LANE_ORDER_ROWS = ((2, 2, 2, 2, 2, 2),  # misses; labels the lane-1 witness 2, 2, 2
+                   (1, 1, 1, 1, 2, 3),  # colorful only on 4-5-6: anchors 4 and 6
+                   (2, 3, 1, 1, 1, 1),  # colorful only on 1-2-3: anchors 1 and 3
+                   (3, 3, 3, 3, 3, 3))  # misses
+
+
 def test_lane_order_and_lane_labels():
     # the first hitting lane answers even where a later lane hits at a lower
     # anchor, and its witness is walked with its own labels
-    g = path_graph([R, B, R, B, R])
-    rows = ((2, 2, 2, 2, 2, 2),  # misses; labels the lane-1 witness 2, 2, 2
-            (1, 1, 1, 1, 2, 3),  # colorful only on 4-5-6: anchors 4 and 6
-            (2, 3, 1, 1, 1, 1),  # colorful only on 1-2-3: anchors 1 and 3
-            (3, 3, 3, 3, 3, 3))  # misses
+    g, rows = path_graph([R, B, R, B, R]), LANE_ORDER_ROWS
     want = ref.colorful_ebp_dp(g, rows[1], 2)
     assert want is not None and want.edge_indices == (3, 4)
     assert colorful_ebp_dp(g, rows, 2) == (1, want)
@@ -255,39 +267,98 @@ def test_lane_order_and_lane_labels():
     assert colorful_ebp_dp(g, rows[::3], 2) is None
 
 
-def _record_path_calls(monkeypatch):
-    """Rebind colorful_ebp_dp to record each call as (lanes, answer): every
+# two paths R B R B, 6-7-8-9-10 on edges 0-3 and 1-2-3-4-5 on edges 4-7, each
+# listing its middle edge first, so that the tree walk from it splits
+TWO_PATHS = parse_graph("graph 10 8\ne 7 8 B\ne 6 7 R\ne 8 9 R\ne 9 10 B\n"
+                        "e 2 3 B\ne 1 2 R\ne 3 4 R\ne 4 5 B\n")
+
+
+@pytest.mark.parametrize("g,k,rows,edges", [
+    (path_graph([R, B, R, B, R]), 2, LANE_ORDER_ROWS, (3, 4)),
+    (TWO_PATHS, 4,
+     ((1,) * 10,                           # misses; labels the lane-1 witness 1, ..., 1
+      (1, 2, 3, 4, 5, 1, 1, 1, 1, 1),      # colorful only on 1-..-5: edges 4-7
+      (2, 2, 2, 2, 2, 3, 1, 4, 5, 2),      # colorful only on 6-..-10: edges 0-3
+      (5,) * 10),                          # misses
+     (4, 5, 6, 7)),
+])
+def test_tree_lane_order_and_lane_labels(g, k, rows, edges):
+    # as test_lane_order_and_lane_labels, for trees: lane 2 hits at a lower
+    # anchor than lane 1, and lane 0's labels cannot walk lane 1's witness;
+    # at k = 4 the walk from the middle edge splits into two sides
+    want = ref.colorful_bt_dp(g, rows[1], k)
+    assert want is not None and want.edge_indices == edges
+    assert colorful_bt_dp(g, rows, k) == (1, want)
+    assert colorful_bt_dp(g, rows[2:], k) == (0, ref.colorful_bt_dp(g, rows[2], k))
+    assert colorful_bt_dp(g, rows[::3], k) is None
+
+
+def test_tree_lanes_match_reference_one_coloring_at_a_time():
+    # random batches of 1 to 39 rows: the first row under which the reference
+    # DP, one coloring at a time, finds a tree, and that row's one-row witness
+    rng = random.Random(2101)
+    hits = later = 0
+    for _ in range(150):
+        g = random_redblue(rng.randrange(4, 11), rng.choice([0.35, 0.6]), rng.randrange(10**6))
+        k = rng.choice([2, 4, 4, 6])
+        rows = tuple(tuple(rng.randrange(1, k + 2) for _ in range(g.n))
+                     for _ in range(rng.randrange(1, 40)))
+        want = _first_hit(g, k, rows, WitnessKind.TREE)
+        assert colorful_bt_dp(g, rows, k) == want
+        hits += want is not None
+        later += want is not None and want[0] > 0
+    assert hits >= 50 and later >= 20
+
+
+# per kind that runs in lanes: its DP's name in colorcoding and the reference DP
+_LANE_DPS = {WitnessKind.PATH: ("colorful_ebp_dp", ref.colorful_ebp_dp),
+             WitnessKind.TREE: ("colorful_bt_dp", ref.colorful_bt_dp)}
+
+
+def _lane_cap(kind, k):
+    """The most colorings a driver sends in one batch of kind's DP."""
+    if kind is WitnessKind.TREE and k > colorcoding._TREE_LANE_MAX_K:
+        return 1
+    return max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
+
+
+def _record_calls(monkeypatch, kind):
+    """Rebind kind's DP to record each call as (lanes, answer): every tree or
     path call is a batch, and its cells, 2^(k+1) bits per lane, must fit the
     byte cap."""
-    dp, calls = colorful_ebp_dp, []
+    name, _ = _LANE_DPS[kind]
+    dp, calls = getattr(colorcoding, name), []
 
     def recorder(G, rows, k):
         hit = dp(G, rows, k)
-        assert len(rows) <= max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
+        assert len(rows) <= _lane_cap(kind, k)
         assert len(rows) << (k + 1) >> 3 <= colorcoding._LANE_BYTES
         calls.append((len(rows), hit))
         return hit
 
-    monkeypatch.setattr(colorcoding, "colorful_ebp_dp", recorder)
+    monkeypatch.setattr(colorcoding, name, recorder)
     return calls
 
 
-def _first_hit(G, k, colorings):
-    """(index, witness) of the first coloring under which the reference DP
-    finds a path, or None."""
+def _first_hit(G, k, colorings, kind):
+    """(index, witness) of the first coloring under which kind's reference DP
+    finds a witness, or None. The witness is the one-row call's on that
+    coloring: the path reference walks the same one, the tree reference at
+    times another colorful tree (_check_against_reference compares them)."""
+    name, ref_dp = _LANE_DPS[kind]
     for i, labels in enumerate(colorings):
-        w = ref.colorful_ebp_dp(G, labels, k)
-        if w is not None:
+        if ref_dp(G, labels, k) is not None:
+            w = _one_row(getattr(colorcoding, name), G, labels, k)
+            _assert_colorful(G, w, k, tau=labels)
             return i, w
     return None
 
 
-def _check_driver(calls, got, expect, count, k):
+def _check_driver(calls, got, expect, count, cap):
     """A driver's recorded batches and answer against one coloring at a time:
     batches of 1, 2, 4, ... colorings up to the cap, and the last one's answer
     the first hitting coloring with its witness. True when that coloring was
     not the first."""
-    cap = max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
     schedule, lanes = [], 1
     while count > 0:
         schedule.append(min(lanes, count))
@@ -304,27 +375,31 @@ def _check_driver(calls, got, expect, count, k):
     return i > 0
 
 
-def test_path_lanes_match_one_coloring_at_a_time(monkeypatch):
-    # both drivers, their path colorings in batches of lanes, against the
-    # reference DP over the same colorings, one at a time, in the same order
-    rng = random.Random(1301)
+def _lanes_against_one_at_a_time(monkeypatch, kind, seed, ks, fallback_runs, lane_bytes=None):
+    """Both drivers, kind's colorings in batches of lanes, against the
+    reference DP over the same colorings, one at a time, in the same order,
+    on 150 random graphs: (runs whose first hit was not the first coloring,
+    runs that sent a full batch of more than one lane, family_driver runs
+    past the hash family's scale). lane_bytes, when given, replaces the byte
+    cap."""
+    rng = random.Random(seed)
     later = capped = fallbacks = 0
     for _ in range(150):
         n = rng.randrange(3, 13)
         g = random_redblue(n, rng.choice([0.3, 0.45, 0.7]), rng.randrange(10**6))
-        k = rng.choice([2, 4, 6, 8])
-        if not colorcoding._feasible(g, k, WitnessKind.PATH):
+        k = rng.choice(ks)
+        if not colorcoding._feasible(g, k, kind):
             continue
         # 1 to a few hundred colorings
         delta = math.exp(-rng.randrange(1, 400) / math.exp(k))
         seed = rng.randrange(10**6)
-        runs = [(delta, seed, lambda: random_coloring_driver(g, k, WitnessKind.PATH, delta, seed))]
+        runs = [(delta, seed, lambda: random_coloring_driver(g, k, kind, delta, seed))]
         if k <= 4:
-            runs.append((None, None, lambda: family_driver(g, k, WitnessKind.PATH)))
-        elif k == 6 and fallbacks < 8:
+            runs.append((None, None, lambda: family_driver(g, k, kind)))
+        elif k == 6 and fallbacks < fallback_runs:
             fallbacks += 1
             runs.append((colorcoding._FALLBACK_DELTA, colorcoding._FALLBACK_SEED,
-                         lambda: family_driver(g, k, WitnessKind.PATH)))
+                         lambda: family_driver(g, k, kind)))
         for delta, seed, driver in runs:
             if delta is None:
                 colorings = colorcoding.greedy_hash_family(n, k + 1)
@@ -332,14 +407,33 @@ def test_path_lanes_match_one_coloring_at_a_time(monkeypatch):
                 draws = random.Random(seed)
                 colorings = [colorcoding._draw_labels(draws, k + 1, n)
                              for _ in range(math.ceil(math.exp(k) * math.log(1 / delta)))]
-            expect = _first_hit(g, k, colorings)
-            calls = _record_path_calls(monkeypatch)
+            expect = _first_hit(g, k, colorings, kind)
+            if lane_bytes is not None:
+                monkeypatch.setattr(colorcoding, "_LANE_BYTES", lane_bytes)
+            calls = _record_calls(monkeypatch, kind)
             got = driver()
+            cap = _lane_cap(kind, k)
             monkeypatch.undo()
-            later += _check_driver(calls, got, expect, len(colorings), k)
-            capped += max(1, colorcoding._LANE_BYTES * 8 >> (k + 1)) in [
-                size for size, _ in calls]
+            later += _check_driver(calls, got, expect, len(colorings), cap)
+            capped += cap > 1 and cap in [size for size, _ in calls]
+    return later, capped, fallbacks
+
+
+def test_path_lanes_match_one_coloring_at_a_time(monkeypatch):
+    # both drivers, their path colorings in batches of lanes, against the
+    # reference DP over the same colorings, one at a time, in the same order
+    later, capped, fallbacks = _lanes_against_one_at_a_time(
+        monkeypatch, WitnessKind.PATH, 1301, [2, 4, 6, 8], 8)
     assert later >= 20 and capped >= 5 and fallbacks == 8
+
+
+def test_tree_lanes_match_one_coloring_at_a_time(monkeypatch):
+    # the same for trees, under a byte cap of 64 (16 lanes at k = 4, 64 at
+    # k = 2) that these runs reach; past _TREE_LANE_MAX_K (k = 6) every
+    # batch holds one coloring
+    later, capped, fallbacks = _lanes_against_one_at_a_time(
+        monkeypatch, WitnessKind.TREE, 2102, [2, 4, 4, 6], 2, lane_bytes=64)
+    assert later >= 20 and capped >= 5 and fallbacks == 2
 
 
 def test_greedy_family_identity_case():
@@ -516,10 +610,10 @@ def test_colorful_dps_leave_no_cyclic_garbage():
     sigma = lambda: tuple(rng.randrange(1, k + 1) for _ in range(g.m))
     tau = lambda: tuple(rng.randrange(1, k + 2) for _ in range(g.n))
     assert _garbage_after(run(colorful_bcs_dp, sigma)) == 0
-    assert _garbage_after(run(colorful_bt_dp, tau)) == 0
-    assert _garbage_after(run(colorful_ebp_dp, lambda: (tau(),))) == 0
     taus = lambda: tuple(tau() for _ in range(8))
-    assert _garbage_after(run(colorful_ebp_dp, taus)) == 0
+    for dp in (colorful_bt_dp, colorful_ebp_dp):
+        assert _garbage_after(run(dp, lambda: (tau(),))) == 0
+        assert _garbage_after(run(dp, taus)) == 0
     assert any(found)  # the witness reconstructions ran
 
 
@@ -547,7 +641,7 @@ def _dp_witness_digest():
                 sigma = tuple(rng.randrange(1, k + 1) for _ in range(g.m))
                 tau = tuple(rng.randrange(1, k + 2) for _ in range(g.n))
                 stats = {}
-                ws = (colorful_bcs_dp(g, sigma, k, stats=stats), colorful_bt_dp(g, tau, k),
+                ws = (colorful_bcs_dp(g, sigma, k, stats=stats), _one_tree(g, tau, k),
                       _one_path(g, tau, k))
                 for i, w in enumerate(ws):
                     hits[i] += w is not None

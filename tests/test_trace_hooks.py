@@ -52,6 +52,9 @@ def _traced(fn, args):
 # relaxed walks give a nonzero circuit but which has no path of four edges
 YES = parse_graph("graph 5 4\ne 1 2 R\ne 2 3 B\ne 3 4 R\ne 4 5 B\n")
 NO = parse_graph("graph 5 4\ne 1 2 R\ne 1 3 R\ne 1 4 B\ne 1 5 B\n")
+# a cycle R R B B beside a lone vertex: no tree or path of four edges, though
+# the counts pass the driver's screen
+CYCLE = parse_graph("graph 5 4\ne 1 2 R\ne 2 3 R\ne 3 4 B\ne 4 1 B\n")
 
 
 def test_tracer_records_the_algebraic_layers():
@@ -75,13 +78,13 @@ def test_tracer_records_the_algebraic_layers():
 
 def _dp_calls_expected(g, k, kind, delta, seed):
     """random_coloring_driver's colorful DP calls, replayed untraced: one per
-    tree or subgraph coloring up to the first hit, one per path batch of 1, 2,
+    subgraph coloring up to the first hit, one per tree or path batch of 1, 2,
     4, ... colorings (up to the lane cap) up to the batch holding it."""
     rng = random.Random(seed)
     trials = math.ceil(math.exp(k) * math.log(1 / delta))
     tried = next((i for i in range(1, trials + 1) if colorcoding.colorful_dp(
         g, k, kind, colorcoding.random_labels(rng, g, k, kind)) is not None), trials)
-    if kind is not WitnessKind.PATH:
+    if kind is WitnessKind.SUBGRAPH:
         return tried
     cap = max(1, colorcoding._LANE_BYTES * 8 >> (k + 1))
     batches, lanes = 0, 1
@@ -90,17 +93,19 @@ def _dp_calls_expected(g, k, kind, delta, seed):
     return batches
 
 
-def test_one_traced_dp_call_per_coloring_or_path_batch():
-    # colorcoding.colorings counts DP calls: a tree or subgraph call decides one
-    # coloring, a path call a batch
-    cases = [(g, kind, seed) for g in (YES, NO) for kind in WitnessKind for seed in (1, 2, 3)]
+def test_one_traced_dp_call_per_subgraph_coloring_or_lane_batch():
+    # colorcoding.colorings counts DP calls: a subgraph call decides one
+    # coloring, a tree or path call a batch
+    cases = [(g, kind, seed) for g in (YES, NO, CYCLE) for kind in WitnessKind
+             for seed in (1, 2, 3)]
     want = [_dp_calls_expected(g, 4, kind, 0.1, seed) for g, kind, seed in cases]
     _, ops = _traced(lambda case: colorcoding.random_coloring_driver(
         case[0], 4, case[1], 0.1, case[2]), cases)
     assert [calls.get("colorcoding.dp", 0) for calls in ops] == want
-    # some tree or subgraph run tries several colorings, and the NO path run
-    # sends all 126 in batches of 1, 2, 4, ..., 32, 63
-    assert max(n for (_, kind, _), n in zip(cases, want) if kind is not WitnessKind.PATH) > 1
+    # some subgraph run tries several colorings, and the tree and path runs
+    # that find nothing send all 126 in batches of 1, 2, 4, ..., 32, 63
+    assert max(n for (_, kind, _), n in zip(cases, want) if kind is WitnessKind.SUBGRAPH) > 1
+    assert want[cases.index((CYCLE, WitnessKind.TREE, 1))] == 7
     assert want[cases.index((NO, WitnessKind.PATH, 1))] == 7
 
 
