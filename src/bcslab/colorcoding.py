@@ -374,22 +374,34 @@ def colorful_bt_dp(G: RedBlueGraph, rows: tuple, k: int) -> Optional[tuple]:
             if rc < 0 or bc < 0:
                 continue
             extend, parts = at[rc][bc], count_splits(rc, bc)
-            splits = [(at[r1][b1], folds and sets_of(at, r1, b1), at[r2][b2])
-                      for (r1, b1), (r2, b2) in parts] if parts else ()
+            splits = [(at[r1][b1], at[r2][b2]) for (r1, b1), (r2, b2) in parts] if parts else ()
+            joins = () if folds else splits  # lanes join in the pass below
             for e in edges:
                 u, v = ends[e]
                 # u or v a pendant leaf, then a u-side and a v-side subtree
                 cell = (extend[v] & masks[u]) << bits[u] | (extend[u] & masks[v]) << bits[v]
-                if folds:  # the ends' further labels in the batch
-                    for mask, bit in more[u]:
-                        cell |= (extend[v] & mask) << bit
-                    for mask, bit in more[v]:
-                        cell |= (extend[u] & mask) << bit
+                for n1, n2 in joins:
+                    a1, a2 = n1[u], n2[v]
+                    if a1 and a2:
+                        cell |= _join(a1, a2, disjoint, keep)
+                row[e] = cell
+            if not folds:
+                continue
+            # the ends' further labels in the batch, and the split join
+            # over the label sets that any lane of the u side holds
+            splits = [(at[r1][b1], sets_of(at, r1, b1), at[r2][b2])
+                      for (r1, b1), (r2, b2) in parts]
+            for e in edges:
+                u, v = ends[e]
+                cell = row[e]
+                for mask, bit in more[u]:
+                    cell |= (extend[v] & mask) << bit
+                for mask, bit in more[v]:
+                    cell |= (extend[u] & mask) << bit
                 for n1, sets, n2 in splits:
                     a1, a2 = n1[u], n2[v]
                     if a1 and a2:
-                        cell |= (_lane_join(a1, sets[u], a2, disjoint, keep, ones) if folds else
-                                 _join(a1, a2, disjoint, keep))
+                        cell |= _lane_join(a1, sets[u], a2, disjoint, keep, ones)
                 row[e] = cell
         return row
 
@@ -401,11 +413,12 @@ def colorful_bt_dp(G: RedBlueGraph, rows: tuple, k: int) -> Optional[tuple]:
             return ()
         rc, bc = (r - 1, b) if G.edges[e][2] is EdgeColor.RED else (r, b - 1)
         u, v = ends[e]
-        row, off = rows[L >> labels], L >> labels << labels
+        row = rows[L >> labels]
         bu, bv = 1 << row[u - 1] >> 1, 1 << row[v - 1] >> 1
         for leaf, x in ((bu, v), (bv, u)):
             if at[rc][bc][x] >> (L ^ leaf) & 1:
                 return (_child(G, cells, (x,), rc, bc, L ^ leaf),)
+        off = L >> labels << labels
         return _split(G, cells, at, rc, bc, L ^ off ^ bu ^ bv, (u, (u,), off | bu),
                       (v, (v,), off | bv))
 
