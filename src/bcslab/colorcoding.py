@@ -388,7 +388,11 @@ def colorful_bt_dp(G: RedBlueGraph, rows: tuple, k: int) -> Optional[tuple]:
             if not folds:
                 continue
             # the ends' further labels in the batch, and the split join
-            # over the label sets that any lane of the u side holds
+            # over the label sets that any lane of the u side holds. This
+            # second pass keeps lane tests out of the pass above: behind
+            # per-edge and per-join tests there, one-coloring calls (most
+            # of crosscheck's) read 1.04-1.05 of the single-coloring DP per
+            # call, against 1.02-1.03 with this pass
             splits = [(at[r1][b1], sets_of(at, r1, b1), at[r2][b2])
                       for (r1, b1), (r2, b2) in parts]
             for e in edges:

@@ -342,14 +342,16 @@ def _record_calls(monkeypatch, kind):
 
 def _first_hit(G, k, colorings, kind):
     """(index, witness) of the first coloring under which kind's reference DP
-    finds a witness, or None. The witness is the one-row call's on that
-    coloring: the path reference walks the same one, the tree reference at
-    times another colorful tree (_check_against_reference compares them)."""
+    finds a witness, or None. A path's witness is the reference's. A tree's
+    is the one-row call's on that coloring, checked colorful, since the tree
+    reference at times walks another colorful tree."""
     name, ref_dp = _LANE_DPS[kind]
     for i, labels in enumerate(colorings):
-        if ref_dp(G, labels, k) is not None:
-            w = _one_row(getattr(colorcoding, name), G, labels, k)
-            _assert_colorful(G, w, k, tau=labels)
+        w = ref_dp(G, labels, k)
+        if w is not None:
+            if kind is WitnessKind.TREE:
+                w = _one_row(getattr(colorcoding, name), G, labels, k)
+                _assert_colorful(G, w, k, tau=labels)
             return i, w
     return None
 
